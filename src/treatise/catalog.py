@@ -24,7 +24,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import lexicon
-from .raster import BoundingBox, ImageGrid, MaskRLE, RleError, Segment, rle_decode
+from .raster import (
+    BoundingBox, ImageGrid, MaskRLE, RleError, Segment, boundary_mask, rle_decode,
+)
 
 SCHEMA_VERSION = 1
 LABEL_SOURCES = ("caption-derived", "tagger", "grounder", "llm", "human")
@@ -318,15 +320,14 @@ def validate_record(record: ImageRecord, image_bytes: bytes | None = None) -> li
             if not (local[0, :].any() and local[-1, :].any()
                     and local[:, 0].any() and local[:, -1].any()):
                 out.append(Violation(f"{base}/bbox", "bbox is not tight around the mask"))
-        pixels = {
-            (b.x + int(x), b.y + int(y))
-            for y, x in zip(*np.nonzero(local))
-        }
+        # per box pixel, row-major: 0 unset, 1 interior, 2 boundary
+        state = (local.view(np.int8) + boundary_mask(local)).ravel().tolist()
         for j, (cx, cy) in enumerate(seg.contour):
-            if (cx, cy) not in pixels:
+            lx, ly = cx - b.x, cy - b.y
+            code = state[ly * b.w + lx] if 0 <= lx < b.w and 0 <= ly < b.h else 0
+            if code == 0:
                 out.append(Violation(f"{base}/contour/{j}", "contour pixel not in mask"))
-                continue
-            if all((cx + dx, cy + dy) in pixels for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0))):
+            elif code == 1:
                 out.append(Violation(f"{base}/contour/{j}", "contour pixel is interior"))
 
     for sid, items in record.assignments.items():
@@ -361,10 +362,9 @@ def record_to_bytes(record: ImageRecord) -> bytes:
     return canonical_json_bytes(record_to_obj(record))
 
 
-def write_sidecar(record: ImageRecord, destination) -> bytes:
-    """Validate, canonicalize, and persist. The file appears atomically
-    (temp file + rename), so readers never see a partial sidecar."""
-    data = record_to_bytes(record)
+def atomic_write(destination, data: bytes) -> None:
+    """Write bytes so that the file appears whole or not at all: a temp file
+    in the same directory, renamed over the destination."""
     destination = os.fspath(destination)
     directory = os.path.dirname(destination) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -378,6 +378,13 @@ def write_sidecar(record: ImageRecord, destination) -> bytes:
         except OSError:
             pass
         raise
+
+
+def write_sidecar(record: ImageRecord, destination) -> bytes:
+    """Validate, canonicalize, and persist atomically, so readers never see
+    a partial sidecar."""
+    data = record_to_bytes(record)
+    atomic_write(destination, data)
     return data
 
 

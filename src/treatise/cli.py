@@ -26,6 +26,7 @@ from .catalog import (
     ManifestError,
     SidecarFormatError,
     SidecarValidationError,
+    image_id_for,
     load_manifest,
     load_sidecar,
     read_sidecar,
@@ -197,11 +198,11 @@ def _run_corpus(manifest_path, config, glossary, onto, force=False, workers=None
 
     def work(path):
         out = sidecar_path(path)
-        if os.path.exists(out) and not force:
-            return "skipped", None
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
+            if not force and _is_current(out, blob, config.method):
+                return "skipped", None
             record = run_pipeline(blob, config, glossary, onto, source_path=path)
             write_sidecar(record, out)
             return "processed", None
@@ -223,6 +224,16 @@ def _run_corpus(manifest_path, config, glossary, onto, force=False, workers=None
     if counts["failed"]:
         return EXIT_BACKEND if backend_failure else EXIT_DATA
     return EXIT_OK
+
+
+def _is_current(sidecar: str, image_bytes: bytes, method: str) -> bool:
+    """True when the sidecar on disk is a valid record of these image bytes
+    made by this method; anything else is reprocessed."""
+    try:
+        record = load_sidecar(sidecar)
+    except (OSError, ValueError):
+        return False
+    return record.image_id == image_id_for(image_bytes) and record.provenance.method == method
 
 
 def _cmd_vocab(args) -> int:

@@ -11,7 +11,6 @@ true-positive count replaced by the sum of those scores, so it separates
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import lexicon
@@ -235,10 +234,6 @@ def report_to_obj(report: EvalReport) -> dict:
         "mean_iou": report.mean_iou, "mean_label_score": report.mean_label_score,
         "soft_f1": report.soft_f1,
     }
-
-
-def report_to_json(report: EvalReport) -> str:
-    return json.dumps(report_to_obj(report), sort_keys=True, indent=2)
 
 
 _COLUMNS = ("image", "tp", "fp", "fn", "prec", "rec", "f1", "iou", "label", "soft_f1")

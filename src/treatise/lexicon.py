@@ -19,9 +19,11 @@ from dataclasses import dataclass, field
 
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 
-# normalize_term strips "-es" only after sibilant stems; a bare "-s" strip
-# would turn frames into fram.
-_SIBILANT_ES = ("ses", "xes", "zes", "ches", "shes")
+# normalize_term strips "-es" only after the stems that take it (glasses,
+# boxes, branches); elsewhere only the "-s" goes (frames -> frame, houses ->
+# house). Stripping "-es" after any "s" would not be idempotent: houses
+# would give hous, then hou.
+_SIBILANT_ES = ("sses", "xes", "zes", "ches", "shes")
 
 
 class GlossaryFormatError(ValueError):
@@ -170,31 +172,6 @@ def tokenize(text: str) -> list[str]:
         if n:
             toks.append(n)
     return toks
-
-
-def definition_terms(entry: GlossEntry, language: str,
-                     stopwords: frozenset[str] | None = None) -> list[str]:
-    """Content tokens of an entry's definition in one language: tokenized,
-    normalized, stopwords removed, first-occurrence order, deduplicated.
-    Without an explicit stopword set, the packaged list for `language` is
-    used (an unknown language then means no stopword filtering)."""
-    if language not in entry.definitions:
-        raise KeyError(f"entry {entry.id!r} has no definition in language {language!r}")
-    if stopwords is None:
-        from . import fixtures
-
-        try:
-            stopwords = fixtures.stopwords(language)
-        except KeyError:
-            stopwords = frozenset()
-    seen = set()
-    out = []
-    for tok in tokenize(entry.definitions[language]):
-        if tok in stopwords or tok in seen:
-            continue
-        seen.add(tok)
-        out.append(tok)
-    return out
 
 
 def expand_terms(glossary: Glossary, terms, include_related: bool = False) -> set[str]:

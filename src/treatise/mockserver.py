@@ -156,6 +156,9 @@ def load_fixture_table(data: bytes | str) -> dict:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # headers and body go out as two sends; with Nagle's algorithm on, the
+    # body waits for the client's delayed ACK (about 40 ms per reply)
+    disable_nagle_algorithm = True
 
     def _reply(self, status: int, obj) -> None:
         data = canonical_json_bytes(obj)

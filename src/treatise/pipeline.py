@@ -22,12 +22,9 @@ choice.
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 import json
+import os
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from . import fixtures, lexicon
 from .backends import BackendClient, WireSchemaError, resolve_endpoints
@@ -36,12 +33,11 @@ from .catalog import (
     ImageRecord,
     LabelAssignment,
     Provenance,
-    SidecarValidationError,
+    atomic_write,
     box_iou,
     canonical_json_bytes,
     image_id_for,
     utc_timestamp,
-    validate_record,
 )
 from .raster import (
     BoundingBox,
@@ -52,8 +48,7 @@ from .raster import (
     gradient_magnitude,
     regional_minima_markers,
     rle_decode,
-    rle_encode,
-    trace_contour,
+    segment_from_mask,
     watershed,
 )
 
@@ -187,20 +182,7 @@ def _write_seed(seed: VocabularySeed, path) -> None:
         "language": seed.language,
         "entries": dict(seed.entries),
     }
-    data = canonical_json_bytes(obj)
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, canonical_json_bytes(obj))
 
 
 def build_label_vocabulary(glossary: lexicon.Glossary, definer_url: str | None = None,
@@ -287,21 +269,7 @@ def _segment_from_wire(obj: dict, seg_id: int, width: int, height: int) -> Segme
     if x + w > width or y + h > height:
         raise WireSchemaError("segment", f"box [{x},{y},{w},{h}] extends past the frame")
     local = rle_decode(MaskRLE(width=w, height=h, counts=tuple(obj["mask"]["counts"])))
-    if not local.any():
-        return None
-    ys, xs = np.nonzero(local)
-    x0, x1 = int(xs.min()), int(xs.max())
-    y0, y1 = int(ys.min()), int(ys.max())
-    tight = local[y0:y1 + 1, x0:x1 + 1]
-    bbox = BoundingBox(x + x0, y + y0, x1 - x0 + 1, y1 - y0 + 1)
-    contour = [(px + bbox.x, py + bbox.y) for px, py in trace_contour(tight)]
-    return Segment(
-        id=seg_id,
-        bbox=bbox,
-        mask=rle_encode(tight, bbox.w, bbox.h),
-        area=int(tight.sum()),
-        contour=tuple(contour),
-    )
+    return segment_from_mask(seg_id, local, x, y)
 
 
 def _segments_from_wire(resp: dict, width: int, height: int) -> tuple:
@@ -341,22 +309,16 @@ def _collect_tags(client: BackendClient, image_bytes: bytes, config: PipelineCon
             stop = fixtures.stopwords("en")
         tags = derive_tags_from_caption(caption, config.max_tags, stop)
         return caption, tags, _SOURCES[method]
-    if method in ("M2", "M3"):
-        vocab = list(config.tag_vocabulary)
-        resp = client.tag(image_bytes, vocabulary=vocab or None)
+    if method in ("M2", "M3", "M4"):
+        # M4 closes the vocabulary over the seed's terms, M2/M3 over the
+        # configured tag_vocabulary when there is one
+        vocab = list(seed.terms) if method == "M4" else (list(config.tag_vocabulary) or None)
+        resp = client.tag(image_bytes, vocabulary=vocab)
         raw = [t["text"] for t in resp["tags"]]
-        if vocab:
+        if vocab is not None:
             canon = _canonical_map(vocab)
             raw = [canon[n] for n in map(lexicon.normalize_term, raw) if n in canon]
-        tags = _dedup(raw)[: config.max_tags]
-        return None, tags, _SOURCES[method]
-    if method == "M4":
-        resp = client.tag(image_bytes, vocabulary=list(seed.terms))
-        canon = _canonical_map(seed.terms)
-        raw = [canon[n] for n in
-               (lexicon.normalize_term(t["text"]) for t in resp["tags"]) if n in canon]
-        tags = _dedup(raw)[: config.max_tags]
-        return None, tags, _SOURCES[method]
+        return None, _dedup(raw)[: config.max_tags], _SOURCES[method]
     # M4b: the definition texts themselves go to the grounder
     tags = [seed.entries[t] for t in seed.terms][: config.max_tags]
     return None, tags, _SOURCES[method]
@@ -398,7 +360,11 @@ def run_pipeline(image_bytes: bytes, config: PipelineConfig,
                  glossary: lexicon.Glossary | None = None, ontology=None,
                  client: BackendClient | None = None,
                  source_path: str = "") -> ImageRecord:
-    """Process one image into a validated ImageRecord.
+    """Process one image into an ImageRecord.
+
+    The record is not validated here: write_sidecar validates it on its way
+    to disk, and image_id is computed from image_bytes, so it matches them
+    by construction.
 
     A fresh backend client is created unless one is injected; injecting a
     shared client across concurrent runs would interleave their call logs,
@@ -409,15 +375,13 @@ def run_pipeline(image_bytes: bytes, config: PipelineConfig,
     image_id = image_id_for(image_bytes)
 
     if config.method == "native":
-        record = ImageRecord(
+        return ImageRecord(
             image_id=image_id, source_path=source_path,
             width=grid.width, height=grid.height,
             segments=_native_segments(grid, config),
             assignments={},
             provenance=Provenance(method="native", timestamp=utc_timestamp()),
         )
-        _require_valid(record, image_bytes)
-        return record
 
     if client is None:
         client = BackendClient(resolve_endpoints(config.endpoints), timeout=config.timeout)
@@ -454,17 +418,9 @@ def run_pipeline(image_bytes: bytes, config: PipelineConfig,
         timestamp=utc_timestamp(),
         degraded=config.method == "M4b",
     )
-    record = ImageRecord(
+    return ImageRecord(
         image_id=image_id, source_path=source_path,
         width=grid.width, height=grid.height,
         segments=segments, assignments=assignments,
         provenance=provenance, image_caption=caption,
     )
-    _require_valid(record, image_bytes)
-    return record
-
-
-def _require_valid(record: ImageRecord, image_bytes: bytes) -> None:
-    violations = validate_record(record, image_bytes)
-    if violations:
-        raise SidecarValidationError(violations)

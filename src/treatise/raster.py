@@ -28,7 +28,8 @@ class PgmHeaderError(PgmError):
 
 
 class PgmMaxvalError(PgmError):
-    """Declared maxval is outside the supported 8-bit range."""
+    """Declared maxval is outside the supported 8-bit range, or a pixel
+    exceeds it."""
 
 
 class PgmTruncatedError(PgmError):
@@ -215,10 +216,7 @@ def decode_pgm(data: bytes) -> ImageGrid:
     """Decode a binary (P5) portable graymap with maxval <= 255."""
     if not data.startswith(b"P5"):
         raise PgmHeaderError("not a binary P5 graymap")
-    try:
-        tokens, offset = _read_pgm_tokens(data[2:], 3)
-    except PgmHeaderError:
-        raise
+    tokens, offset = _read_pgm_tokens(data[2:], 3)
     offset += 2
     try:
         width, height, maxval = (int(t) for t in tokens)
@@ -234,6 +232,8 @@ def decode_pgm(data: bytes) -> ImageGrid:
             f"expected {width * height} pixel bytes, found {len(payload)}"
         )
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    if maxval < 255 and int(arr.max()) > maxval:
+        raise PgmMaxvalError(f"pixel value {int(arr.max())} exceeds maxval {maxval}")
     return ImageGrid(arr.copy())
 
 
@@ -408,58 +408,41 @@ def watershed(grid: ImageGrid, markers: MarkerMap) -> SegmentMap:
 
 def rle_encode(bits, width: int, height: int) -> MaskRLE:
     """Encode a row-major bit sequence of length width*height."""
-    flat = np.asarray(bits).astype(bool).ravel()
+    flat = np.asarray(bits, dtype=bool).ravel()
     if flat.size != width * height:
         raise RleError("bit sequence length must equal width * height")
-    counts: list[int] = []
-    current = False  # runs start with zeros
-    run = 0
-    for b in flat.tolist():
-        if b == current:
-            run += 1
-        else:
-            counts.append(run)
-            current = b
-            run = 1
-    counts.append(run)
-    return MaskRLE(width, height, tuple(counts))
+    # runs end wherever a pixel differs from the next one
+    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    bounds = np.concatenate(([0], change, [flat.size]))
+    counts = (bounds[1:] - bounds[:-1]).tolist()
+    if flat.size and flat[0]:
+        counts.insert(0, 0)  # runs start with zeros
+    return MaskRLE(width, height, counts)
 
 
 def rle_decode(rle: MaskRLE) -> np.ndarray:
     """Decode to a (height, width) boolean array."""
     total = rle.width * rle.height
-    if any(c < 0 for c in rle.counts):
+    if rle.counts and min(rle.counts) < 0:
         raise RleError("negative run count")
     if sum(rle.counts) != total:
         raise RleError(f"run counts sum to {sum(rle.counts)}, expected {total}")
-    flat = np.zeros(total, dtype=bool)
-    pos = 0
-    value = False
-    for c in rle.counts:
-        if value:
-            flat[pos : pos + c] = True
-        pos += c
-        value = not value
-    return flat.reshape(rle.height, rle.width)
+    values = np.zeros(len(rle.counts), dtype=bool)
+    values[1::2] = True  # runs alternate zero, one, zero, ...
+    counts = np.asarray(rle.counts, dtype=np.intp)
+    return np.repeat(values, counts).reshape(rle.height, rle.width)
 
 
 # ---------------------------------------------------------------------------
 # Segment extraction
 
-def boundary_pixels(mask: np.ndarray) -> set[tuple[int, int]]:
-    """Set pixels with at least one unset-or-out-of-bounds 4-neighbor."""
+def boundary_mask(mask: np.ndarray) -> np.ndarray:
+    """Set pixels with at least one unset-or-out-of-bounds 4-neighbor: the
+    mask AND NOT the 4-neighbor erosion of the zero-padded mask."""
     hgt, wdt = mask.shape
-    out = set()
-    for y in range(hgt):
-        for x in range(wdt):
-            if not mask[y, x]:
-                continue
-            for dx, dy in N4:
-                nx, ny = x + dx, y + dy
-                if not (0 <= nx < wdt and 0 <= ny < hgt) or not mask[ny, nx]:
-                    out.add((x, y))
-                    break
-    return out
+    p = np.zeros((hgt + 2, wdt + 2), dtype=bool)
+    p[1:-1, 1:-1] = mask
+    return p[1:-1, 1:-1] & ~(p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:])
 
 
 def trace_contour(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -474,7 +457,8 @@ def trace_contour(mask: np.ndarray) -> list[tuple[int, int]]:
     def inside(x, y):
         return 0 <= x < wdt and 0 <= y < hgt and mask[y, x]
 
-    remaining = boundary_pixels(mask)
+    ys, xs = np.nonzero(boundary_mask(mask))
+    remaining = set(zip(xs.tolist(), ys.tolist()))
     ordered: list[tuple[int, int]] = []
     traced: set[tuple[int, int]] = set()
     while remaining:
@@ -491,7 +475,9 @@ def trace_contour(mask: np.ndarray) -> list[tuple[int, int]]:
         visited = {start}
         component = [start]
         cur, bt = start, back
-        start_state = (start, back)
+        # the walk is deterministic in (pixel, backtrack): once a state
+        # repeats it only retraces itself, so it ends there
+        states = {(start, back)}
         for _ in range(8 * (len(remaining) + 1)):
             # scan clockwise around cur, starting just past the backtrack
             bidx = N8_CLOCKWISE.index((bt[0] - cur[0], bt[1] - cur[1]))
@@ -507,8 +493,9 @@ def trace_contour(mask: np.ndarray) -> list[tuple[int, int]]:
             if nxt is None:
                 break  # isolated pixel
             cur, bt = nxt, last_out
-            if (cur, bt) == start_state:
+            if (cur, bt) in states:
                 break
+            states.add((cur, bt))
             if cur not in visited:
                 visited.add(cur)
                 # a hole walk may pass over pixels the outer walk already
@@ -521,25 +508,27 @@ def trace_contour(mask: np.ndarray) -> list[tuple[int, int]]:
     return ordered
 
 
+def segment_from_mask(seg_id: int, mask: np.ndarray, x: int = 0, y: int = 0) -> Segment | None:
+    """The Segment covering the set pixels of a boolean mask whose top-left
+    pixel sits at image position (x, y): tight box, box-local RLE mask, area,
+    and contour in image coordinates. None when no pixel is set."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if not rows.size:
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    y0, y1, x0, x1 = int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1])
+    tight = mask[y0 : y1 + 1, x0 : x1 + 1]
+    bbox = BoundingBox(x + x0, y + y0, x1 - x0 + 1, y1 - y0 + 1)
+    return Segment(
+        id=seg_id,
+        bbox=bbox,
+        mask=rle_encode(tight, bbox.w, bbox.h),
+        area=int(np.count_nonzero(tight)),
+        contour=tuple((px + bbox.x, py + bbox.y) for px, py in trace_contour(tight)),
+    )
+
+
 def extract_segments(segmap: SegmentMap) -> list[Segment]:
     """Build one Segment per region id (ascending). Line pixels belong to no
     segment. Masks are stored bbox-local; contours are in image coordinates."""
-    segments = []
-    for rid in segmap.region_ids():
-        region = segmap.labels == rid
-        ys, xs = np.nonzero(region)
-        x0, x1 = int(xs.min()), int(xs.max())
-        y0, y1 = int(ys.min()), int(ys.max())
-        box = BoundingBox(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
-        local = region[y0 : y1 + 1, x0 : x1 + 1]
-        contour = [(x + x0, y + y0) for x, y in trace_contour(local)]
-        segments.append(
-            Segment(
-                id=rid,
-                bbox=box,
-                mask=rle_encode(local, box.w, box.h),
-                area=int(region.sum()),
-                contour=tuple(contour),
-            )
-        )
-    return segments
+    return [segment_from_mask(rid, segmap.labels == rid) for rid in segmap.region_ids()]

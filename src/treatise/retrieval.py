@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 from . import lexicon
-from .catalog import ImageRecord, canonical_json_bytes
+from .catalog import ImageRecord, atomic_write, canonical_json_bytes
 
 K1 = 1.2
 B = 0.75
@@ -220,20 +218,7 @@ def index_from_obj(doc: dict) -> Index:
 
 
 def save_index(index: Index, path) -> None:
-    data = canonical_json_bytes(index_to_obj(index))
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, canonical_json_bytes(index_to_obj(index)))
 
 
 def load_index(path) -> Index:

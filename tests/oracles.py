@@ -172,6 +172,23 @@ def boundary_oracle(mask):
     return out
 
 
+def rle_oracle(bits):
+    """Row-major run lengths of a flat 0/1 list, alternating zero-run and
+    one-run, starting with a (possibly empty) zero-run."""
+    counts = []
+    current = 0
+    run = 0
+    for b in bits:
+        if b == current:
+            run += 1
+        else:
+            counts.append(run)
+            current = b
+            run = 1
+    counts.append(run)
+    return counts
+
+
 def box_iou_oracle(a, b):
     """IoU of two [x, y, w, h] boxes by enumerating integer cells."""
     cells_a = {(x, y) for x in range(a[0], a[0] + a[2])
@@ -321,7 +338,7 @@ def _normalize_word(word):
     base = "".join(c for c in decomposed if not unicodedata.combining(c)).lower()
     for suffix in ("es", "s"):
         if base.endswith(suffix) and len(base) - len(suffix) >= 3:
-            if suffix == "es" and not base[:-2].endswith(("s", "x", "z", "ch", "sh")):
+            if suffix == "es" and not base[:-2].endswith(("ss", "x", "z", "ch", "sh")):
                 continue
             if suffix == "s" and base.endswith("ss"):
                 continue

@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import time
 
 import pytest
 import requests
@@ -254,6 +255,18 @@ class TestLiveServer:
             assert len(seg["segments"]) == 4
             d = cli.define('define "heel".')
             assert d["definition"].startswith("the heel is")
+
+    def test_replies_are_not_held_back(self):
+        # a reply sent as headers + body must not wait for a delayed ACK
+        # (about 40 ms a call with Nagle's algorithm on)
+        blob = make_pgm([[1, 2], [3, 4]])
+        with MockBackendServer() as srv:
+            cli = BackendClient(srv.endpoints)
+            cli.caption(blob)  # connect outside the timed loop
+            start = time.perf_counter()
+            for _ in range(30):
+                cli.caption(blob)
+            assert time.perf_counter() - start < 0.6
 
     def test_error_propagates_as_backend_error(self):
         with MockBackendServer() as srv:

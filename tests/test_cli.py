@@ -5,6 +5,7 @@ file handling, and a round trip through every subcommand."""
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from treatise.catalog import (
     ImageRecord,
     LabelAssignment,
     Provenance,
+    image_id_for,
     load_sidecar,
     sidecar_path,
     utc_timestamp,
@@ -482,6 +484,64 @@ def test_corpus_run_processes_then_skips(tmp_path, capsys):
                        "--method", "native", "--force")
     assert code == 0
     assert "processed=2" in out
+
+
+def test_corpus_reprocesses_sidecars_it_cannot_trust(tmp_path, capsys):
+    manifest = _manifest(tmp_path, ["p1.pgm", "p2.pgm", "p3.pgm", "p4.pgm"])
+    assert run(capsys, "pipeline", "--manifest", manifest, "--method", "native")[0] == 0
+    # not JSON; a record of other image bytes; a record made by another method
+    (tmp_path / "p1.pgm.segments.json").write_text("garbage")
+    (tmp_path / "p2.pgm").write_bytes(RIDGE)
+    p3 = str(tmp_path / "p3.pgm.segments.json")
+    record = load_sidecar(p3)
+    write_sidecar(replace(record, provenance=replace(record.provenance, method="M2")), p3)
+    code, out, _ = run(capsys, "pipeline", "--manifest", manifest, "--method", "native")
+    assert code == 0
+    assert "processed=3 failed=0 skipped=1" in out
+    for name in ("p1.pgm", "p2.pgm", "p3.pgm"):
+        record = load_sidecar(sidecar_path(tmp_path / name))
+        assert record.provenance.method == "native"
+        assert record.image_id == image_id_for((tmp_path / name).read_bytes())
+
+
+def test_one_validation_per_written_sidecar(tmp_path, capsys, monkeypatch):
+    from treatise import catalog, pipeline
+
+    calls = []
+    real = catalog.validate_record
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].image_id)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "validate_record", counting)
+    monkeypatch.setattr(pipeline, "validate_record", counting, raising=False)
+    assert run(capsys, "segment", "--in", write_image(tmp_path))[0] == 0
+    assert len(calls) == 1
+    manifest = _manifest(tmp_path, ["p1.pgm", "p2.pgm"])
+    assert run(capsys, "pipeline", "--manifest", manifest, "--method", "native",
+               "--workers", "1")[0] == 0
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("corpus", [False, True])
+def test_label_empty_after_normalization_fails_the_image(tmp_path, capsys, server, corpus):
+    # the mock tagger echoes the vocabulary and the grounder echoes the tags,
+    # so a whitespace vocabulary term comes back as a whitespace label
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"endpoints": server.endpoints, "tag_vocabulary": ["   "]}))
+    if corpus:
+        target = ["--manifest", _manifest(tmp_path, ["p1.pgm"])]
+        sidecar = tmp_path / "p1.pgm.segments.json"
+    else:
+        target = ["--in", write_image(tmp_path)]
+        sidecar = tmp_path / "page.pgm.segments.json"
+    code, out, err = run(capsys, "pipeline", "--config", str(cfg), "--method", "m2", *target)
+    assert code == 2
+    assert "empty after normalization" in err
+    assert not sidecar.exists()
+    if corpus:
+        assert "processed=0 failed=1 skipped=0" in out
 
 
 def test_corpus_isolates_per_image_failures(tmp_path, capsys):

@@ -10,7 +10,10 @@ import hashlib
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import make_pgm
 from treatise import fixtures, lexicon
 from treatise.backends import BackendClient, WireSchemaError
@@ -123,6 +126,13 @@ def test_derive_tags_normalizes_dedups_and_filters():
 
 def test_derive_tags_truncates():
     assert derive_tags_from_caption("keel oak plank", 2, set()) == ["keel", "oak"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet="abc defgh. ,x-", max_size=40))
+def test_caption_tags_match_token_filter_oracle(text):
+    stop = frozenset({"abc", "de"})
+    assert derive_tags_from_caption(text, 32, stop) == oracles.token_filter_oracle(text, stop)
 
 
 def test_derive_tags_default_stopwords_are_english():

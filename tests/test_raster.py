@@ -16,7 +16,7 @@ from treatise.raster import (
     PgmError,
     RleError,
     SegmentMap,
-    boundary_pixels,
+    boundary_mask,
     decode_pgm,
     encode_pgm,
     extract_segments,
@@ -71,6 +71,11 @@ class TestPgm:
     def test_maxval_over_255(self):
         with pytest.raises(PgmError):
             decode_pgm(b"P5 1 1 65535\n" + bytes(2))
+
+    def test_pixel_over_maxval(self):
+        with pytest.raises(PgmError):
+            decode_pgm(b"P5\n2 1\n15\n" + bytes([200, 3]))
+        assert decode_pgm(b"P5\n2 1\n15\n" + bytes([15, 3])).tolist() == [15, 3]
 
     def test_comment_header(self):
         grid = decode_pgm(b"P5\n# scanner output\n2 1\n255\n" + bytes([3, 4]))
@@ -313,6 +318,7 @@ class TestRle:
     def test_roundtrip_property(self, rows):
         w, h = len(rows[0]), len(rows)
         bits = [int(v) for r in rows for v in r]
+        assert list(rle_encode(bits, w, h).counts) == oracles.rle_oracle(bits)
         assert [int(v) for v in rle_decode(rle_encode(bits, w, h)).ravel()] == bits
 
 
@@ -347,10 +353,13 @@ class TestContour:
     @given(masks)
     def test_contour_set_equals_boundary_scan(self, rows):
         mask = np.asarray(rows, dtype=bool)
+        expect = oracles.boundary_oracle([[int(v) for v in r] for r in rows])
+        ys, xs = np.nonzero(boundary_mask(mask))
+        assert set(zip(xs.tolist(), ys.tolist())) == expect
         if not mask.any():
             return
         contour = trace_contour(mask)
-        assert set(contour) == oracles.boundary_oracle([[int(v) for v in r] for r in rows])
+        assert set(contour) == expect
         assert len(contour) == len(set(contour))
 
 
@@ -407,16 +416,6 @@ class TestBoundingBox:
     def test_fits(self):
         assert BoundingBox(1, 1, 2, 2).fits(3, 3)
         assert not BoundingBox(1, 1, 3, 2).fits(3, 3)
-
-
-def test_boundary_pixels_matches_oracle():
-    rng = random.Random(17)
-    for _ in range(50):
-        w, h = rng.randint(1, 8), rng.randint(1, 8)
-        rows = [[rng.random() < 0.5 for _ in range(w)] for _ in range(h)]
-        mask = np.asarray(rows, dtype=bool)
-        assert boundary_pixels(mask) == oracles.boundary_oracle(
-            [[int(v) for v in r] for r in rows])
 
 
 def test_make_pgm_helper_is_valid():
