@@ -418,6 +418,16 @@ class TestBoundingBox:
         assert not BoundingBox(1, 1, 3, 2).fits(3, 3)
 
 
+def test_boundary_pixels_matches_oracle():
+    rng = random.Random(17)
+    for _ in range(50):
+        w, h = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [[rng.random() < 0.5 for _ in range(w)] for _ in range(h)]
+        ys, xs = np.nonzero(boundary_mask(np.asarray(rows, dtype=bool)))
+        assert set(zip(xs.tolist(), ys.tolist())) == oracles.boundary_oracle(
+            [[int(v) for v in r] for r in rows])
+
+
 def test_make_pgm_helper_is_valid():
     grid = decode_pgm(make_pgm([[1, 2], [3, 4]]))
     assert grid.tolist() == [1, 2, 3, 4]
