@@ -211,7 +211,9 @@ class MockBackendServer:
         return {stage: f"{base}/{stage}" for stage in STAGES}
 
     def start(self):
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # stop() waits for the serving loop's next poll
+        self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        kwargs={"poll_interval": 0.05}, daemon=True)
         self._thread.start()
         return self
 

@@ -4,6 +4,12 @@ segment extraction, and run-length masks.
 Everything here is pure and deterministic. Pixels live in (h, w) uint8 numpy
 arrays; coordinates are (x, y) with x = column, y = row, origin top-left.
 Connectivity is 4-connected throughout (regions, plateaus, contours).
+
+The flooding routines are array code with no loop per pixel: plateaus are
+labelled by union-find rooted at each plateau's first pixel in row-major
+order, the h-minima reconstruction sweeps rows and columns to the fixpoint
+of the geodesic erosion, and the watershed runs each synchronous wave as one
+array step over its front.
 """
 
 from __future__ import annotations
@@ -11,9 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# 4-neighborhood as (dx, dy)
-N4 = ((0, -1), (1, 0), (0, 1), (-1, 0))
 
 # 8-neighborhood in clockwise screen order (y grows downward), starting north
 N8_CLOCKWISE = ((0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1))
@@ -127,10 +130,6 @@ class SegmentMap:
     @property
     def height(self) -> int:
         return self.labels.shape[0]
-
-    def region_ids(self) -> list[int]:
-        ids = np.unique(self.labels)
-        return [int(i) for i in ids if i > 0]
 
 
 @dataclass(frozen=True)
@@ -268,70 +267,63 @@ def gradient_magnitude(grid: ImageGrid) -> ImageGrid:
 # ---------------------------------------------------------------------------
 # Markers
 
-def _erode4(f: np.ndarray) -> np.ndarray:
-    """Grayscale erosion with the 4-neighborhood plus center; values outside
-    the frame act as +inf."""
-    big = np.iinfo(np.int64).max
-    p = np.pad(f, 1, mode="constant", constant_values=big)
-    return np.minimum.reduce(
-        [p[1:-1, 1:-1], p[:-2, 1:-1], p[2:, 1:-1], p[1:-1, :-2], p[1:-1, 2:]]
-    )
-
-
 def suppress_shallow_minima(f: np.ndarray, h: int) -> np.ndarray:
     """h-minima transform: reconstruction by erosion of f + h over f. Minima
-    whose depth relative to their lowest saddle is below h disappear."""
+    whose depth relative to their lowest saddle is below h disappear.
+
+    Forward and backward sweeps, along rows and then along columns, set
+    g[i] = max(f[i], min(g[i], g[i -/+ 1])) until a full round changes
+    nothing. No step takes g below the reconstruction, and a round that
+    changes nothing leaves a fixpoint of the 4-neighbour geodesic erosion,
+    of which the reconstruction is the largest below f + h (Vincent 1993)."""
     mask = f.astype(np.int64)
-    marker = mask + int(h)
+    g = mask + int(h)
     while True:
-        nxt = np.maximum(mask, _erode4(marker))
-        if np.array_equal(nxt, marker):
-            return marker
-        marker = nxt
+        before = g
+        # sweep contiguous rows: the transposed frame, then the frame itself
+        for fv in (mask.T.copy(), mask):
+            g = g.T.copy()
+            for i in range(1, len(g)):
+                np.maximum(fv[i], np.minimum(g[i], g[i - 1]), out=g[i])
+            for i in range(len(g) - 2, -1, -1):
+                np.maximum(fv[i], np.minimum(g[i], g[i + 1]), out=g[i])
+        if np.array_equal(g, before):
+            return g
 
 
 def regional_minima_markers(grid: ImageGrid, h: int = 0) -> MarkerMap:
     """Label every 4-connected plateau that is a regional minimum after
     h-minima suppression. Labels are assigned 1..K in row-major order of each
-    plateau's first pixel. A constant image yields a single marker."""
+    plateau's first pixel. A constant image yields a single marker.
+
+    Plateaus are labelled by union-find over pairs of equal-valued
+    4-neighbours: each root hooks to the smallest root it touches, and the
+    pointers are then compressed. A root only ever points to a smaller flat
+    index, so a plateau's root is its smallest flat index, which is its
+    first pixel in row-major order."""
     if h < 0:
         raise ValueError("h must be non-negative")
     f = grid.pixels.astype(np.int64)
     if h > 0:
         f = suppress_shallow_minima(f, h)
-    hgt, wdt = f.shape
-    labels = np.zeros((hgt, wdt), dtype=np.int32)
-    next_id = 1
-    for sy in range(hgt):
-        for sx in range(wdt):
-            if labels[sy, sx]:
-                continue
-            # flood the equal-value plateau containing (sx, sy)
-            val = f[sy, sx]
-            stack = [(sx, sy)]
-            labels[sy, sx] = -1
-            plateau = [(sx, sy)]
-            is_minimum = True
-            while stack:
-                x, y = stack.pop()
-                for dx, dy in N4:
-                    nx, ny = x + dx, y + dy
-                    if not (0 <= nx < wdt and 0 <= ny < hgt):
-                        continue
-                    v = f[ny, nx]
-                    if v < val:
-                        is_minimum = False
-                    elif v == val and labels[ny, nx] == 0:
-                        labels[ny, nx] = -1
-                        plateau.append((nx, ny))
-                        stack.append((nx, ny))
-            mark = next_id if is_minimum else -2
-            if is_minimum:
-                next_id += 1
-            for x, y in plateau:
-                labels[y, x] = mark
-    labels[labels == -2] = 0
-    return MarkerMap(labels)
+    idx = np.arange(f.size).reshape(f.shape)
+    # union-find over the pairs (a, b) of equal-valued 4-neighbours
+    right = idx[:, :-1][f[:, 1:] == f[:, :-1]]
+    down = idx[:-1][f[1:] == f[:-1]]
+    a, b = np.r_[right, down], np.r_[right + 1, down + f.shape[1]]
+    root = np.arange(f.size)
+    while (split := root[a] != root[b]).any():
+        ra, rb = root[a[split]], root[b[split]]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(root, root[root]):
+            root = root[root]
+    # a plateau is not a minimum if any of its pixels has a lower 4-neighbour
+    p = np.pad(f, 1, mode="edge")
+    lower = np.minimum.reduce([p[:-2, 1:-1], p[2:, 1:-1], p[1:-1, :-2], p[1:-1, 2:]]) < f
+    is_min = ~np.isin(root, root[lower.ravel()])
+    labels = np.zeros(f.size, dtype=np.int32)
+    labels[is_min] = np.unique(root[is_min], return_inverse=True)[1] + 1
+    return MarkerMap(labels.reshape(f.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -349,58 +341,46 @@ def watershed(grid: ImageGrid, markers: MarkerMap) -> SegmentMap:
     not-yet-flooded pixels of intensity <= level. A pixel first reached in the
     same wave from two or more distinct basins becomes a line pixel (label 0)
     and never propagates. Pixels never reached by any basin (cut off by line
-    pixels) also end up 0. The outcome is independent of pixel visiting order;
-    the scan used here is row-major.
+    pixels) also end up 0.
+
+    Each wave is one array step over its front: a pixel whose positive
+    neighbour labels have equal min and max takes that label, any other
+    becomes a line pixel. The next front is the pending neighbours of the
+    pixels labelled in this wave. A level's first wave starts from that
+    level's own pixels only, because pixels left pending by lower levels
+    have no labelled neighbour.
     """
     if (grid.height, grid.width) != (markers.height, markers.width):
         raise WatershedInputError("grid and marker dimensions disagree")
     if markers.count < 1:
         raise WatershedInputError("marker map is empty")
 
-    relief = grid.pixels
-    hgt, wdt = relief.shape
-    labels = markers.labels.astype(np.int32).copy()
-    line = np.zeros_like(labels, dtype=bool)
-    pending = np.zeros_like(line)  # seen at <= current level but unflooded
+    stride = grid.width + 2
+    # flat arrays with a one-pixel frame that is labelled 0 and never pending;
+    # line pixels hold -1 until the end
+    labels = np.pad(markers.labels, 1).ravel()
+    relief = np.pad(grid.pixels, 1).ravel()
+    todo = np.flatnonzero(np.pad(markers.labels == 0, 1))
+    todo = todo[np.argsort(relief[todo], kind="stable")]
+    cuts = np.flatnonzero(relief[todo][1:] != relief[todo][:-1]) + 1
+    offsets = np.array([-stride, 1, stride, -1])
+    pending = np.zeros(labels.size, dtype=bool)
 
-    for level in np.unique(relief):
-        pending |= (relief == level) & (labels == 0) & ~line
-        if not pending.any():
-            continue
-        # first wave: pending pixels adjacent to any labeled pixel
-        claims: dict[tuple[int, int], set[int]] = {}
-        lab_mask = labels > 0
-        adj = np.zeros_like(lab_mask)
-        adj[:-1, :] |= lab_mask[1:, :]
-        adj[1:, :] |= lab_mask[:-1, :]
-        adj[:, :-1] |= lab_mask[:, 1:]
-        adj[:, 1:] |= lab_mask[:, :-1]
-        ys, xs = np.nonzero(pending & adj)
-        for y, x in zip(ys.tolist(), xs.tolist()):
-            got = set()
-            for dx, dy in N4:
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < wdt and 0 <= ny < hgt and labels[ny, nx] > 0:
-                    got.add(int(labels[ny, nx]))
-            claims[(x, y)] = got
-        while claims:
-            advanced = []
-            for (x, y), got in claims.items():
-                pending[y, x] = False
-                if len(got) == 1:
-                    labels[y, x] = got.pop()
-                    advanced.append((x, y))
-                else:
-                    line[y, x] = True
-            claims = {}
-            for x, y in advanced:
-                lab = int(labels[y, x])
-                for dx, dy in N4:
-                    nx, ny = x + dx, y + dy
-                    if 0 <= nx < wdt and 0 <= ny < hgt and pending[ny, nx]:
-                        claims.setdefault((nx, ny), set()).add(lab)
-    # anything still unlabeled is divide territory
-    return SegmentMap(labels)
+    for front in np.split(todo, cuts):
+        pending[front] = True
+        while front.size:
+            near = labels[front[:, None] + offsets]
+            hi = near.max(axis=1)
+            reached = hi > 0
+            front, near, hi = front[reached], near[reached], hi[reached]
+            # won: the smallest positive neighbour label is the largest too
+            won = np.where(near > 0, near, hi[:, None]).min(axis=1) == hi
+            labels[front] = np.where(won, hi, -1)
+            pending[front] = False
+            grown = (front[won, None] + offsets).ravel()
+            front = np.unique(grown[pending[grown]])
+    labels[labels < 0] = 0  # line pixels and unreached pixels are divide territory
+    return SegmentMap(labels.reshape(-1, stride)[1:-1, 1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +445,7 @@ def trace_contour(mask: np.ndarray) -> list[tuple[int, int]]:
         start = min(remaining, key=lambda p: (p[1], p[0]))
         # initial backtrack: first non-region 4-neighbor, clockwise from north
         back = None
-        for dx, dy in N8_CLOCKWISE:
-            if (dx, dy) not in N4:
-                continue
+        for dx, dy in N8_CLOCKWISE[::2]:
             if not inside(start[0] + dx, start[1] + dy):
                 back = (start[0] + dx, start[1] + dy)
                 break
@@ -531,4 +509,15 @@ def segment_from_mask(seg_id: int, mask: np.ndarray, x: int = 0, y: int = 0) -> 
 def extract_segments(segmap: SegmentMap) -> list[Segment]:
     """Build one Segment per region id (ascending). Line pixels belong to no
     segment. Masks are stored bbox-local; contours are in image coordinates."""
-    return [segment_from_mask(rid, segmap.labels == rid) for rid in segmap.region_ids()]
+    labels = segmap.labels
+    order = np.argsort(labels, axis=None, kind="stable")
+    ids = labels.ravel()[order]
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    rows, cols = np.divmod(order, labels.shape[1])
+    y0s, y1s = np.minimum.reduceat(rows, starts), np.maximum.reduceat(rows, starts)
+    x0s, x1s = np.minimum.reduceat(cols, starts), np.maximum.reduceat(cols, starts)
+    out = []
+    for rid, y0, y1, x0, x1 in zip(*(v.tolist() for v in (ids[starts], y0s, y1s, x0s, x1s))):
+        if rid > 0:
+            out.append(segment_from_mask(rid, labels[y0 : y1 + 1, x0 : x1 + 1] == rid, x0, y0))
+    return out

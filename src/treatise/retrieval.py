@@ -103,7 +103,9 @@ def index_record(index: Index, record: ImageRecord) -> Index:
     """Replace any prior postings for this image, then add one document per
     segment and one for the whole image. Indexing the same record twice is
     a no-op."""
-    index.remove_image(record.image_id)
+    # exact: every indexed record has its whole-image document
+    if record.image_id in index.docs:
+        index.remove_image(record.image_id)
     page_tokens: list[str] = []
     if record.image_caption:
         page_tokens.extend(lexicon.tokenize(record.image_caption))

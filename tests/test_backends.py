@@ -268,6 +268,12 @@ class TestLiveServer:
                 cli.caption(blob)
             assert time.perf_counter() - start < 0.6
 
+    def test_stop_is_prompt(self):
+        srv = MockBackendServer().start()
+        start = time.perf_counter()
+        srv.stop()
+        assert time.perf_counter() - start < 0.25
+
     def test_error_propagates_as_backend_error(self):
         with MockBackendServer() as srv:
             cli = BackendClient(srv.endpoints)

@@ -47,6 +47,21 @@ masks = st.integers(1, 6).flatmap(
 )
 
 
+def serpentine(w, h, corridor, wall):
+    """Rows of a w x h grid whose even rows are one corridor, joined through
+    the odd rows at alternate ends. corridor() and wall() give each pixel."""
+    return [[corridor() if y % 2 == 0 or x == (w - 1 if y % 4 == 1 else 0) else wall()
+             for x in range(w)] for y in range(h)]
+
+
+def transposed(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def rows_grid(rows):
+    return ImageGrid(np.asarray(rows, dtype=np.uint8))
+
+
 # ---------------------------------------------------------------------------
 # PGM
 
@@ -180,6 +195,36 @@ class TestMinima:
             assert ids == list(range(1, len(ids) + 1))
             assert len(ids) >= 1
 
+    def test_serpentine_and_ring_plateaus_match_oracle(self):
+        # long, winding plateaus: the union-find needs many hooking rounds
+        rng = random.Random(61)
+        for _ in range(12):
+            w, h = rng.randint(2, 64), rng.randint(2, 64)
+            lo, hi = rng.randint(0, 3), rng.randint(0, 3)
+            snake = serpentine(w, h, lambda: lo, lambda: hi)
+            ring = [rng.randint(0, 3) for _ in range(32)]
+            rings = [[ring[min(x, y, w - 1 - x, h - 1 - y)] for x in range(w)]
+                     for y in range(h)]
+            for rows in (snake, transposed(snake), rings):
+                got = regional_minima_markers(rows_grid(rows)).labels.tolist()
+                assert got == oracles.minima_oracle(rows)
+
+    def test_h_matches_reconstruction_oracle_on_winding_corridors(self):
+        # shallow dips along one corridor: the reconstruction has to follow
+        # every turn. Values stay <= 255 - h, where the oracle's clamp of
+        # f + h at 255 never applies.
+        rng = random.Random(91)
+        for _ in range(12):
+            w, hgt, h = rng.randint(2, 32), rng.randint(2, 32), rng.randint(1, 8)
+            base = rng.randint(0, 200)
+            snake = serpentine(w, hgt, lambda: base + rng.randint(0, 6),
+                               lambda: rng.randint(base + 7, 255 - h))
+            for rows in (snake, transposed(snake)):
+                recon = oracles.hminima_oracle(rows, h)
+                assert raster.suppress_shallow_minima(np.asarray(rows), h).tolist() == recon
+                got = regional_minima_markers(rows_grid(rows), h=h).labels.tolist()
+                assert got == oracles.minima_oracle(recon)
+
 
 # ---------------------------------------------------------------------------
 # watershed
@@ -280,6 +325,21 @@ class TestWatershed:
             out_a = watershed(grid_a, markers).labels
             out_b = watershed(grid_b, markers).labels
             assert np.array_equal(out_a, out_b)
+
+    def test_oracle_equivalence_ties_corridors_and_thin_grids(self):
+        # large plateaus with many ties, a one-pixel-wide corridor that floods
+        # from its one marker one wave per pixel, and single rows and columns
+        rng = random.Random(77)
+        for _ in range(12):
+            w, h = rng.randint(12, 16), rng.randint(12, 16)
+            snake = serpentine(w, h, lambda: 1, lambda: rng.randint(2, 3))
+            snake[0][0] = 0
+            for rows in (random_grid(rng, w, h, 0, 3), snake, transposed(snake),
+                         random_grid(rng, rng.randint(1, 40), 1),
+                         random_grid(rng, 1, rng.randint(1, 40))):
+                grid, markers = ws_pair(rows)
+                got = watershed(grid, markers).labels.tolist()
+                assert got == oracles.watershed_oracle(rows, markers.labels.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,17 @@ def test_reindexing_replaces_old_postings():
     assert set(index.postings["scarf"]) == {"img#1", "img"}
 
 
+def test_reindexing_drops_segments_the_record_no_longer_has(tmp_path):
+    index = index_record(Index(), make_record("img", {1: [("keel", None)],
+                                                      2: [("scarf", None)]}))
+    save_index(index, tmp_path / "index.json")
+    loaded = load_index(tmp_path / "index.json")
+    for idx in (index, loaded):
+        index_record(idx, make_record("img", {1: [("keel", None)]}))
+        assert set(idx.docs) == {"img#1", "img"}
+        assert "scarf" not in idx.postings
+
+
 def test_remove_image_is_exact_not_prefix_based():
     index = Index()
     index_record(index, make_record("abc", {1: [("keel", None)]}))
