@@ -205,7 +205,10 @@ def _segment_from_obj(obj, path: str) -> Segment:
     contour = []
     for i, pt in enumerate(contour_raw):
         contour.append(tuple(_int_list(pt, 2, f"{path}/contour/{i}")))
-    bbox = BoundingBox(bx[0], bx[1], bx[2], bx[3])
+    try:
+        bbox = BoundingBox(bx[0], bx[1], bx[2], bx[3])
+    except ValueError as exc:
+        raise SidecarFormatError(f"{path}/bbox", str(exc)) from None
     mask = MaskRLE(width=bx[2], height=bx[3], counts=tuple(counts))
     return Segment(id=sid, bbox=bbox, mask=mask, area=area, contour=tuple(contour))
 
@@ -297,10 +300,7 @@ def validate_record(record: ImageRecord, image_bytes: bytes | None = None) -> li
             out.append(Violation(f"{base}/id", f"duplicate segment id {seg.id}"))
         seen_ids.add(seg.id)
         b = seg.bbox
-        if b.w < 1 or b.h < 1:
-            out.append(Violation(f"{base}/bbox", "box extent must be at least 1x1"))
-            continue
-        if b.x < 0 or b.y < 0 or b.x + b.w > record.width or b.y + b.h > record.height:
+        if not b.fits(record.width, record.height):
             out.append(Violation(f"{base}/bbox", "box extends past the frame"))
         if seg.mask.width != b.w or seg.mask.height != b.h:
             out.append(Violation(f"{base}/mask", "mask dimensions differ from bbox"))

@@ -90,9 +90,12 @@ def _load_config(args) -> dict:
         ref = cfg.get(key)
         if ref is not None and not os.path.exists(ref):
             raise ValueError(f"config {path}: {key} file {ref!r} does not exist")
-    for stage, url in (cfg.get("endpoints") or {}).items():
-        parts = urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.netloc:
+    endpoints = cfg.get("endpoints")
+    if endpoints is not None and not isinstance(endpoints, dict):
+        raise ValueError(f"config {path}: endpoints must map stage names to URLs")
+    for stage, url in (endpoints or {}).items():
+        parts = urlsplit(url) if isinstance(url, str) else None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.netloc:
             raise ValueError(f"config {path}: endpoint {stage} URL {url!r} is not valid")
     return cfg
 

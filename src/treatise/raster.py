@@ -20,6 +20,11 @@ import numpy as np
 
 # 8-neighborhood in clockwise screen order (y grows downward), starting north
 N8_CLOCKWISE = ((0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1))
+# Moore walk: _SCANS[d] scans clockwise past a backtrack in direction d; after
+# a step in direction j, the background pixel scanned just before it becomes
+# the backtrack, in direction _BACKTRACK_AFTER[j] of the new pixel
+_SCANS = tuple(tuple(j % 8 for j in range(d + 1, d + 9)) for d in range(8))
+_BACKTRACK_AFTER = (6, 6, 0, 0, 2, 2, 4, 4)
 
 
 class PgmError(ValueError):
@@ -431,59 +436,52 @@ def trace_contour(mask: np.ndarray) -> list[tuple[int, int]]:
     Each closed boundary (outer border, then hole borders) is walked clockwise
     starting from its topmost-leftmost untraced pixel; pixels are listed once,
     in first-visit order. The resulting list covers the full boundary set.
+    A walk ends at its first repeated (pixel, backtrack) state or after
+    8 * (untraced boundary pixels + 1) steps, as in `oracles.moore_oracle`.
     """
     hgt, wdt = mask.shape
-
-    def inside(x, y):
-        return 0 <= x < wdt and 0 <= y < hgt and mask[y, x]
-
+    stride = wdt + 2
+    padded = np.zeros((hgt + 2, stride), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    pixels = padded.tobytes()
+    ring = [dy * stride + dx for dx, dy in N8_CLOCKWISE]
     ys, xs = np.nonzero(boundary_mask(mask))
-    remaining = set(zip(xs.tolist(), ys.tolist()))
-    ordered: list[tuple[int, int]] = []
-    traced: set[tuple[int, int]] = set()
-    while remaining:
-        start = min(remaining, key=lambda p: (p[1], p[0]))
+    # row-major flat indices into the padded mask
+    starts = [(y + 1) * stride + x + 1 for y, x in zip(ys.tolist(), xs.tolist())]
+    seen: set[int] = set()
+    ordered: list[int] = []
+    for start in starts:
+        if start in seen:
+            continue
+        # every walked pixel is a boundary pixel, so the untraced boundary
+        # pixels number len(starts) - len(ordered)
+        budget = 8 * (len(starts) - len(ordered) + 1)
+        seen.add(start)
+        ordered.append(start)
         # initial backtrack: first non-region 4-neighbor, clockwise from north
-        back = None
-        for dx, dy in N8_CLOCKWISE[::2]:
-            if not inside(start[0] + dx, start[1] + dy):
-                back = (start[0] + dx, start[1] + dy)
-                break
-        assert back is not None  # boundary pixels always have one
-        visited = {start}
-        component = [start]
-        cur, bt = start, back
+        back = next(d for d in (0, 2, 4, 6) if not pixels[start + ring[d]])
+        cur = start
         # the walk is deterministic in (pixel, backtrack): once a state
         # repeats it only retraces itself, so it ends there
-        states = {(start, back)}
-        for _ in range(8 * (len(remaining) + 1)):
-            # scan clockwise around cur, starting just past the backtrack
-            bidx = N8_CLOCKWISE.index((bt[0] - cur[0], bt[1] - cur[1]))
-            nxt = None
-            last_out = bt
-            for k in range(1, 9):
-                dx, dy = N8_CLOCKWISE[(bidx + k) % 8]
-                cand = (cur[0] + dx, cur[1] + dy)
-                if inside(*cand):
-                    nxt = cand
+        states = {start * 8 + back}
+        for _ in range(budget):
+            for j in _SCANS[back]:
+                if pixels[cur + ring[j]]:
                     break
-                last_out = cand
-            if nxt is None:
+            else:
                 break  # isolated pixel
-            cur, bt = nxt, last_out
-            if (cur, bt) in states:
+            cur += ring[j]
+            back = _BACKTRACK_AFTER[j]
+            state = cur * 8 + back
+            if state in states:
                 break
-            states.add((cur, bt))
-            if cur not in visited:
-                visited.add(cur)
-                # a hole walk may pass over pixels the outer walk already
-                # listed; list each boundary pixel once, first visit wins
-                if cur not in traced:
-                    component.append(cur)
-        ordered.extend(component)
-        traced |= visited
-        remaining -= visited
-    return ordered
+            states.add(state)
+            # a hole walk may pass over pixels the outer walk already
+            # listed; list each boundary pixel once, first visit wins
+            if cur not in seen:
+                seen.add(cur)
+                ordered.append(cur)
+    return [(p % stride - 1, p // stride - 1) for p in ordered]
 
 
 def segment_from_mask(seg_id: int, mask: np.ndarray, x: int = 0, y: int = 0) -> Segment | None:

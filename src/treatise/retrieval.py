@@ -57,7 +57,6 @@ class Index:
     def __init__(self):
         self.docs: dict[str, int] = {}                 # doc_id -> token count
         self.postings: dict[str, dict[str, int]] = {}  # token -> doc_id -> tf
-        self._doc_terms: dict[str, dict[str, int]] = {}
 
     def __eq__(self, other):
         return (isinstance(other, Index)
@@ -72,24 +71,19 @@ class Index:
         for tok in tokens:
             terms[tok] = terms.get(tok, 0) + 1
         self.docs[doc_id] = len(tokens)
-        self._doc_terms[doc_id] = terms
         for tok, tf in terms.items():
             self.postings.setdefault(tok, {})[doc_id] = tf
-
-    def _remove_doc(self, doc_id: str) -> None:
-        for tok in self._doc_terms.pop(doc_id, {}):
-            plist = self.postings.get(tok)
-            if plist is not None:
-                plist.pop(doc_id, None)
-                if not plist:
-                    del self.postings[tok]
-        self.docs.pop(doc_id, None)
 
     def remove_image(self, image_id: str) -> None:
         prefix = image_id + "#"
         stale = [d for d in self.docs if d == image_id or d.startswith(prefix)]
         for doc_id in stale:
-            self._remove_doc(doc_id)
+            del self.docs[doc_id]
+        for tok, plist in list(self.postings.items()):
+            for doc_id in stale:
+                plist.pop(doc_id, None)
+            if not plist:
+                del self.postings[tok]
 
 
 def _assignment_tokens(assignment) -> list:
@@ -202,20 +196,28 @@ def index_to_obj(index: Index) -> dict:
     }
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def index_from_obj(doc: dict) -> Index:
     if not isinstance(doc, dict) or not isinstance(doc.get("docs"), dict) \
             or not isinstance(doc.get("postings"), dict):
         raise ValueError("snapshot must carry docs and postings objects")
     index = Index()
-    index.docs = {str(d): int(n) for d, n in doc["docs"].items()}
+    for doc_id, n in doc["docs"].items():
+        if not _is_count(n):
+            raise ValueError(f"length of document {doc_id!r} must be a non-negative integer")
+    index.docs = dict(doc["docs"])
     for tok, plist in doc["postings"].items():
         if not isinstance(plist, dict):
             raise ValueError(f"postings for {tok!r} must be an object")
-        index.postings[tok] = {str(d): int(tf) for d, tf in plist.items()}
-        for doc_id, tf in index.postings[tok].items():
+        for doc_id, tf in plist.items():
             if doc_id not in index.docs:
                 raise ValueError(f"posting for unknown document {doc_id!r}")
-            index._doc_terms.setdefault(doc_id, {})[tok] = tf
+            if not _is_count(tf):
+                raise ValueError(f"tf of {doc_id!r} under {tok!r} must be a non-negative integer")
+        index.postings[tok] = dict(plist)
     return index
 
 

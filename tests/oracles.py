@@ -172,6 +172,70 @@ def boundary_oracle(mask):
     return out
 
 
+_N8_CLOCKWISE = ((0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1))
+
+
+def moore_oracle(mask):
+    """mask: list of rows of 0/1 (or a 2-D array). Returns the boundary
+    pixels as (x, y) in clockwise Moore-walk order: each walk starts from the
+    topmost-leftmost untraced boundary pixel, so the outer border comes before
+    the holes; a pixel is listed at its first visit; a walk stops at its first
+    repeated (pixel, backtrack) state or after 8 * (untraced boundary pixels
+    + 1) steps, whichever comes first."""
+    hgt = len(mask)
+    wdt = len(mask[0])
+
+    def inside(x, y):
+        return 0 <= x < wdt and 0 <= y < hgt and mask[y][x]
+
+    remaining = set(boundary_oracle(mask))
+    ordered = []
+    traced = set()
+    while remaining:
+        start = min(remaining, key=lambda p: (p[1], p[0]))
+        # initial backtrack: first non-region 4-neighbor, clockwise from north
+        back = None
+        for dx, dy in _N8_CLOCKWISE[::2]:
+            if not inside(start[0] + dx, start[1] + dy):
+                back = (start[0] + dx, start[1] + dy)
+                break
+        assert back is not None  # boundary pixels always have one
+        visited = {start}
+        component = [start]
+        cur, bt = start, back
+        # the walk is deterministic in (pixel, backtrack): once a state
+        # repeats it only retraces itself, so it ends there
+        states = {(start, back)}
+        for _ in range(8 * (len(remaining) + 1)):
+            # scan clockwise around cur, starting just past the backtrack
+            bidx = _N8_CLOCKWISE.index((bt[0] - cur[0], bt[1] - cur[1]))
+            nxt = None
+            last_out = bt
+            for k in range(1, 9):
+                dx, dy = _N8_CLOCKWISE[(bidx + k) % 8]
+                cand = (cur[0] + dx, cur[1] + dy)
+                if inside(*cand):
+                    nxt = cand
+                    break
+                last_out = cand
+            if nxt is None:
+                break  # isolated pixel
+            cur, bt = nxt, last_out
+            if (cur, bt) in states:
+                break
+            states.add((cur, bt))
+            if cur not in visited:
+                visited.add(cur)
+                # a hole walk may pass over pixels the outer walk already
+                # listed; list each boundary pixel once, first visit wins
+                if cur not in traced:
+                    component.append(cur)
+        ordered.extend(component)
+        traced |= visited
+        remaining -= visited
+    return ordered
+
+
 def rle_oracle(bits):
     """Row-major run lengths of a flat 0/1 list, alternating zero-run and
     one-run, starting with a (possibly empty) zero-run."""

@@ -190,6 +190,19 @@ def test_validate_reports_tampering(tmp_path, capsys):
     assert "area" in out
 
 
+@pytest.mark.parametrize("bbox", [[0, 0, 0, 4], [-1, 0, 4, 4]])
+def test_validate_names_the_path_of_an_impossible_bbox(tmp_path, capsys, bbox):
+    sidecar = tmp_path / "a.json"
+    human_sidecar(tmp_path, sidecar.name, "a" * 64, ["keel"])
+    doc = json.loads(sidecar.read_text())
+    doc["segments"][0]["bbox"] = bbox
+    sidecar.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", "--in", str(sidecar))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: /segments/0/bbox: ")
+
+
 def test_validate_rejects_non_json(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{nope")
@@ -355,6 +368,24 @@ def test_search_expand_requires_glossary(tmp_path, capsys):
                "--expand")[0] == 2
 
 
+@pytest.mark.parametrize("snapshot, named", [
+    ('{"docs": {"a": []}, "postings": {}}', "'a'"),
+    ('{"docs": {"a": 1e400}, "postings": {}}', "'a'"),
+    ('{"docs": {"a": true}, "postings": {}}', "'a'"),
+    ('{"docs": {"a": -1}, "postings": {}}', "'a'"),
+    ('{"docs": {"a": 1}, "postings": {"keel": {"a": null}}}', "'keel'"),
+    ('{"docs": {"a": 1}, "postings": {"keel": {"a": 1.5}}}', "'keel'"),
+    ('{"docs": {"a": 1}, "postings": {"keel": {"a": true}}}', "'keel'"),
+])
+def test_search_rejects_malformed_snapshot_counts(tmp_path, capsys, snapshot, named):
+    idx = tmp_path / "idx.json"
+    idx.write_text(snapshot)
+    code, out, err = run(capsys, "search", "--index", str(idx), "--query", "keel")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and named in err
+
+
 def test_index_requires_snapshot_path(tmp_path, capsys):
     a = human_sidecar(tmp_path, "a.json", "a" * 64, ["keel"])
     assert run(capsys, "index", a)[0] == 2
@@ -446,6 +477,16 @@ def test_config_rejects_bad_endpoint_url(tmp_path, capsys):
     cfg.write_text(json.dumps({"endpoints": {"segment": "not-a-url"}}))
     image = write_image(tmp_path)
     assert run(capsys, "segment", "--config", str(cfg), "--in", image)[0] == 2
+
+
+@pytest.mark.parametrize("endpoints", [5, ["a"], {"tag": 5}])
+def test_config_rejects_malformed_endpoints(tmp_path, capsys, endpoints):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"endpoints": endpoints}))
+    image = write_image(tmp_path)
+    code, _, err = run(capsys, "segment", "--config", str(cfg), "--in", image)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith(f"error: config {cfg}:")
 
 
 def test_config_must_be_an_object(tmp_path, capsys):

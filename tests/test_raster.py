@@ -54,6 +54,33 @@ def serpentine(w, h, corridor, wall):
              for x in range(w)] for y in range(h)]
 
 
+def shaped_mask(rng, w, h):
+    """Rows of a w x h 0/1 mask built from filled boxes with holes punched
+    in them, 1-pixel spurs, and pixel pairs that touch only diagonally."""
+    rows = [[0] * w for _ in range(h)]
+    for _ in range(rng.randint(1, 4)):
+        x0, y0 = rng.randrange(w), rng.randrange(h)
+        x1, y1 = rng.randint(x0, w - 1), rng.randint(y0, h - 1)
+        for y in range(y0, y1 + 1):
+            rows[y][x0 : x1 + 1] = [1] * (x1 - x0 + 1)
+        for _ in range(rng.randint(0, 3)):  # holes
+            rows[rng.randint(y0, y1)][rng.randint(x0, x1)] = 0
+    for _ in range(rng.randint(0, 3)):  # spurs: a 1-wide run in one direction
+        x, y = rng.randrange(w), rng.randrange(h)
+        dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+        for _ in range(rng.randint(1, 4)):
+            if 0 <= x < w and 0 <= y < h:
+                rows[y][x] = 1
+            x, y = x + dx, y + dy
+    for _ in range(rng.randint(0, 3)):  # diagonal-only contacts
+        if w > 1 and h > 1:
+            x, y = rng.randrange(w - 1), rng.randrange(h - 1)
+            flip = rng.random() < 0.5
+            for dx, dy in ((0, 0), (1, 1), (1, 0), (0, 1)):
+                rows[y + dy][x + dx] = int((dx == dy) != flip)
+    return rows
+
+
 def transposed(rows):
     return [list(col) for col in zip(*rows)]
 
@@ -421,6 +448,32 @@ class TestContour:
         contour = trace_contour(mask)
         assert set(contour) == expect
         assert len(contour) == len(set(contour))
+        assert contour == oracles.moore_oracle(rows)
+
+    def test_order_matches_oracle_on_shaped_masks(self):
+        rng = random.Random(6)
+        for _ in range(2000):
+            rows = shaped_mask(rng, rng.randint(1, 12), rng.randint(1, 12))
+            if any(map(any, rows)):
+                assert trace_contour(np.asarray(rows, dtype=bool)) == oracles.moore_oracle(rows)
+
+    @pytest.mark.parametrize("side, bumps", [
+        (23, ((1, 11), (21, 2), (11, 21))),
+        # here a budget 8 steps larger (16) or smaller (21) changes the order
+        (16, ((1, 2), (1, 5), (3, 14), (7, 1))),
+        (21, ((9, 19), (13, 1), (16, 19), (19, 6))),
+    ])
+    def test_step_budget_cuts_hole_walk(self, side, bumps):
+        # one-pixel rings with inward bumps at (row, col): the hole walk runs
+        # out of steps before it closes
+        rows = [[y in (0, side - 1) or x in (0, side - 1) for x in range(side)]
+                for y in range(side)]
+        for y, x in bumps:
+            rows[y][x] = True
+        contour = trace_contour(np.asarray(rows))
+        assert contour == oracles.moore_oracle(rows)
+        if side == 23:  # a walk without the budget lists (2, 21) first
+            assert contour.index((21, 11)) < contour.index((2, 21))
 
 
 class TestExtractSegments:
