@@ -29,8 +29,7 @@ PAGE = [
 ]
 
 
-def main():
-    workdir = Path(tempfile.mkdtemp(prefix="treatise-demo-"))
+def main(workdir: Path):
     image_path = workdir / "page.pgm"
     grid = ImageGrid.from_list(4, 4, [v for row in PAGE for v in row])
     blob = encode_pgm(grid)
@@ -64,4 +63,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="treatise-demo-") as tmp:
+        main(Path(tmp))

@@ -42,13 +42,14 @@ def describe(record, title):
 
 
 def main():
-    with MockBackendServer() as server:
+    with MockBackendServer() as server, \
+            tempfile.TemporaryDirectory(prefix="treatise-demo-") as tmp:
         print("mock endpoints:")
         for stage, url in server.endpoints.items():
             print(f"  {stage}: {url}")
 
         # one definition request per glossary entry, cached for next time
-        cache = Path(tempfile.mkdtemp(prefix="treatise-demo-")) / "seed.json"
+        cache = Path(tmp) / "seed.json"
         seed = build_label_vocabulary(
             fixtures.glossary(),
             definer_url=server.endpoints["define"],

@@ -71,10 +71,11 @@ def main():
     show("one ontology hop wider", search(index, wide, kind="image"))
 
     # snapshots roundtrip exactly
-    path = Path(tempfile.mkdtemp(prefix="treatise-demo-")) / "index.json"
-    save_index(index, path)
-    assert load_index(path) == index
-    print(f"\nsnapshot saved and reloaded identically: {path}")
+    with tempfile.TemporaryDirectory(prefix="treatise-demo-") as tmp:
+        path = Path(tmp) / "index.json"
+        save_index(index, path)
+        assert load_index(path) == index
+        print(f"\nsnapshot saved and reloaded identically: {path}")
 
 
 if __name__ == "__main__":

@@ -473,7 +473,7 @@ def load_manifest(data: bytes | str) -> CorpusManifest:
     if "year_range" in doc:
         yr = doc["year_range"]
         if (not isinstance(yr, list) or len(yr) != 2
-                or not all(isinstance(v, int) for v in yr) or yr[0] > yr[1]):
+                or not all(type(v) is int for v in yr) or yr[0] > yr[1]):
             raise ManifestError("year_range must be [min, max] with min <= max")
         year_range = (yr[0], yr[1])
     treatises = []
@@ -493,7 +493,7 @@ def load_manifest(data: bytes | str) -> CorpusManifest:
             raise ManifestError(f"{where}.year must be an integer")
         if not isinstance(images, list) or not all(isinstance(p, str) for p in images):
             raise ManifestError(f"{where}.images must be a list of paths")
-        if "count" in raw and raw["count"] != len(images):
+        if "count" in raw and (isinstance(raw["count"], bool) or raw["count"] != len(images)):
             raise ManifestError(f"{where}.count does not match the image list")
         if year_range is not None and not (year_range[0] <= year <= year_range[1]):
             raise ManifestError(f"{where}.year {year} outside declared range")

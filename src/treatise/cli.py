@@ -73,7 +73,22 @@ def _err(message: str) -> None:
 # ---------------------------------------------------------------------------
 # configuration
 
-_CONFIG_FILE_KEYS = ("glossary", "ontology", "manifest")
+# JSON type checks, by the name messages give the type; a bool is never a number
+_JSON_TYPES = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "an object": lambda v: isinstance(v, dict),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+}
+
+# each config key's JSON type; a key with a flag is named after its dest, for _opt
+_CONFIG_KEYS = {
+    "endpoints": "an object", "tag_vocabulary": "a list of strings",
+    "max_tags": "an integer", "h": "an integer", "timeout": "a number",
+    **dict.fromkeys(("method", "glossary", "ontology", "manifest", "index", "vocabulary",
+                     "seg_stage", "domain_context", "language", "relief"), "a string"),
+}
 
 
 def _load_config(args) -> dict:
@@ -86,73 +101,60 @@ def _load_config(args) -> dict:
         cfg = json.loads(fh.read().decode("utf-8"))
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path}: top level must be an object")
-    for key in _CONFIG_FILE_KEYS:
-        ref = cfg.get(key)
-        if ref is not None and not os.path.exists(ref):
-            raise ValueError(f"config {path}: {key} file {ref!r} does not exist")
-    endpoints = cfg.get("endpoints")
-    if endpoints is not None and not isinstance(endpoints, dict):
-        raise ValueError(f"config {path}: endpoints must map stage names to URLs")
-    for stage, url in (endpoints or {}).items():
+    for key, value in cfg.items():
+        kind = _CONFIG_KEYS.get(key)
+        if kind is None:
+            raise ValueError(f"config {path}: {key!r} is not a config key")
+        if not _JSON_TYPES[kind](value):
+            raise ValueError(f"config {path}: {key} must be {kind}")
+    for key in ("glossary", "ontology", "manifest"):
+        if key in cfg and not os.path.exists(cfg[key]):
+            raise ValueError(f"config {path}: {key} file {cfg[key]!r} does not exist")
+    for stage, url in cfg.get("endpoints", {}).items():
         parts = urlsplit(url) if isinstance(url, str) else None
         if parts is None or parts.scheme not in ("http", "https") or not parts.netloc:
             raise ValueError(f"config {path}: endpoint {stage} URL {url!r} is not valid")
     return cfg
 
 
-def _opt(args, cfg: dict, name: str, default=None):
+def _opt(args, cfg: dict, name: str, required: str | None = None):
+    """The flag's value, else the config key's, else None, or else `required` raised."""
     value = getattr(args, name, None)
-    if value is not None:
-        return value
-    value = cfg.get(name)
-    return default if value is None else value
+    if value is None:
+        value = cfg.get(name)
+    if value is None and required is not None:
+        raise ValueError(required)
+    return value
 
 
-def _load_glossary(path) -> lexicon.Glossary:
+def _given(args, cfg: dict, **params) -> dict:
+    """The options a flag or the config sets, as keyword arguments; defaults stay in the callee."""
+    values = {param: _opt(args, cfg, name) for param, name in params.items()}
+    return {param: value for param, value in values.items() if value is not None}
+
+
+def _knowledge(args, cfg: dict, name: str, required: str | None = None):
+    """The glossary or ontology file that the flag or config names, loaded, or None."""
+    path = _opt(args, cfg, name, required)
+    if path is None:
+        return None
+    load = lexicon.load_glossary if name == "glossary" else ontology.load_ontology
     with open(path, "rb") as fh:
-        return lexicon.load_glossary(fh.read())
-
-
-def _load_ontology(path):
-    with open(path, "rb") as fh:
-        return ontology.load_ontology(fh.read())
-
-
-_EMPTY_GLOSSARY = '{"entries": {}}'
-_EMPTY_ONTOLOGY = '{"roots": [], "concepts": {}}'
-
-
-def _knowledge(args, cfg, required=False):
-    gpath = _opt(args, cfg, "glossary")
-    opath = _opt(args, cfg, "ontology")
-    if required and (gpath is None or opath is None):
-        raise ValueError("this command needs --glossary and --ontology (flag or config)")
-    glossary = _load_glossary(gpath) if gpath else None
-    onto = _load_ontology(opath) if opath else None
-    return glossary, onto
+        return load(fh.read())
 
 
 def _pipeline_config(args, cfg: dict) -> PipelineConfig:
-    method_name = _opt(args, cfg, "method")
-    if method_name is None:
-        raise ValueError("no method given (flag --method or config key)")
-    method = _METHOD_NAMES.get(str(method_name).lower())
+    method_name = _opt(args, cfg, "method", "no method given (flag --method or config key)")
+    method = _METHOD_NAMES.get(method_name.lower())
     if method is None:
         raise ValueError(f"unknown method {method_name!r}")
-    return PipelineConfig(
-        method=method,
-        endpoints=dict(cfg.get("endpoints") or {}),
-        segmentation_stage=_opt(args, cfg, "seg_stage",
-                                cfg.get("segmentation_stage", "before_labeling")),
-        vocabulary_path=_opt(args, cfg, "vocabulary", cfg.get("vocabulary_path")),
-        tag_vocabulary=tuple(cfg.get("tag_vocabulary") or ()),
-        max_tags=int(_opt(args, cfg, "max_tags", 32)),
-        timeout=float(_opt(args, cfg, "timeout", 10.0)),
-        domain_context=cfg.get("domain_context", "shipbuilding or nautical"),
-        language=str(_opt(args, cfg, "language", "en")),
-        h_threshold=int(_opt(args, cfg, "h", 0)),
-        relief=_opt(args, cfg, "relief", "gradient"),
-    )
+    given = _given(args, cfg, endpoints="endpoints", segmentation_stage="seg_stage",
+                   vocabulary_path="vocabulary", tag_vocabulary="tag_vocabulary",
+                   max_tags="max_tags", timeout="timeout", language="language",
+                   h_threshold="h", relief="relief")
+    if "tag_vocabulary" in given:
+        given["tag_vocabulary"] = tuple(given["tag_vocabulary"])
+    return PipelineConfig(method=method, **given)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +163,7 @@ def _pipeline_config(args, cfg: dict) -> PipelineConfig:
 def _cmd_segment(args) -> int:
     cfg = _load_config(args)
     config = PipelineConfig(method="native",
-                            relief=_opt(args, cfg, "relief", "gradient"),
-                            h_threshold=int(_opt(args, cfg, "h", 0)))
+                            **_given(args, cfg, relief="relief", h_threshold="h"))
     with open(args.infile, "rb") as fh:
         blob = fh.read()
     record = run_pipeline(blob, config, source_path=args.infile)
@@ -175,7 +176,8 @@ def _cmd_segment(args) -> int:
 def _cmd_pipeline(args) -> int:
     cfg = _load_config(args)
     config = _pipeline_config(args, cfg)
-    glossary, onto = _knowledge(args, cfg)
+    glossary = _knowledge(args, cfg, "glossary")
+    onto = _knowledge(args, cfg, "ontology")
     manifest_path = _opt(args, cfg, "manifest")
     if args.infile is None and manifest_path is None:
         raise ValueError("need --in IMAGE or --manifest MANIFEST")
@@ -241,18 +243,14 @@ def _is_current(sidecar: str, image_bytes: bytes, method: str) -> bool:
 
 def _cmd_vocab(args) -> int:
     cfg = _load_config(args)
-    gpath = _opt(args, cfg, "glossary")
-    if gpath is None:
-        raise ValueError("vocab needs --glossary (flag or config)")
-    glossary = _load_glossary(gpath)
-    endpoints = resolve_endpoints(cfg.get("endpoints") or {})
+    glossary = _knowledge(args, cfg, "glossary", "vocab needs --glossary (flag or config)")
+    endpoints = resolve_endpoints(cfg.get("endpoints", {}))
     seed = build_label_vocabulary(
         glossary,
         definer_url=endpoints.get("define"),
-        language=_opt(args, cfg, "language", "en"),
         cache_path=args.out,
-        domain_context=cfg.get("domain_context", "shipbuilding or nautical"),
-        timeout=float(_opt(args, cfg, "timeout", 10.0)),
+        **_given(args, cfg, language="language", domain_context="domain_context",
+                 timeout="timeout"),
     )
     _err(f"{len(seed.entries)} terms -> {args.out}")
     return EXIT_OK
@@ -260,7 +258,9 @@ def _cmd_vocab(args) -> int:
 
 def _cmd_enrich(args) -> int:
     cfg = _load_config(args)
-    glossary, onto = _knowledge(args, cfg, required=True)
+    need = "this command needs --glossary and --ontology (flag or config)"
+    glossary = _knowledge(args, cfg, "glossary", need)
+    onto = _knowledge(args, cfg, "ontology", need)
     record = load_sidecar(args.infile)
     enriched = replace(record, assignments=enrich_labels(record.assignments, glossary, onto))
     out = args.out or args.infile
@@ -270,9 +270,7 @@ def _cmd_enrich(args) -> int:
 
 def _cmd_index(args) -> int:
     cfg = _load_config(args)
-    index_path = _opt(args, cfg, "index")
-    if index_path is None:
-        raise ValueError("index needs --index SNAPSHOT (flag or config)")
+    index_path = _opt(args, cfg, "index", "index needs --index SNAPSHOT (flag or config)")
     if os.path.exists(index_path) and not args.force:
         index = retrieval.load_index(index_path)
     else:
@@ -286,20 +284,13 @@ def _cmd_index(args) -> int:
 
 def _cmd_search(args) -> int:
     cfg = _load_config(args)
-    index_path = _opt(args, cfg, "index")
-    if index_path is None:
-        raise ValueError("search needs --index SNAPSHOT (flag or config)")
+    index_path = _opt(args, cfg, "index", "search needs --index SNAPSHOT (flag or config)")
     index = retrieval.load_index(index_path)
     terms = args.query.split()
     glossary = onto = None
     if args.expand:
-        gpath = _opt(args, cfg, "glossary")
-        if gpath is None:
-            raise ValueError("--expand needs --glossary (flag or config)")
-        glossary = _load_glossary(gpath)
-        opath = _opt(args, cfg, "ontology")
-        if opath is not None:
-            onto = _load_ontology(opath)
+        glossary = _knowledge(args, cfg, "glossary", "--expand needs --glossary (flag or config)")
+        onto = _knowledge(args, cfg, "ontology")
     query = retrieval.expand_query(terms, glossary, onto, hops=args.hops if args.expand else 0)
     hits = retrieval.search(index, query, k=args.k, kind=args.kind)
     for rank, hit in enumerate(hits, start=1):
@@ -313,10 +304,8 @@ def _cmd_eval(args) -> int:
     truths = args.truth or []
     if len(preds) != len(truths) or not preds:
         raise ValueError("eval needs matching --pred/--truth pairs")
-    gpath = _opt(args, cfg, "glossary")
-    opath = _opt(args, cfg, "ontology")
-    glossary = _load_glossary(gpath) if gpath else lexicon.load_glossary(_EMPTY_GLOSSARY)
-    onto = _load_ontology(opath) if opath else ontology.load_ontology(_EMPTY_ONTOLOGY)
+    glossary = _knowledge(args, cfg, "glossary") or lexicon.Glossary({}, {})
+    onto = _knowledge(args, cfg, "ontology") or ontology.Ontology({}, ())
     reports = []
     for pred_path, truth_path in zip(preds, truths):
         predicted = load_sidecar(pred_path)
@@ -352,8 +341,8 @@ def _cmd_mock_serve(args) -> int:
     if args.fixtures:
         with open(args.fixtures, "rb") as fh:
             fixtures = load_fixture_table(fh.read())
-    server = MockBackendServer(host=args.host, port=args.port,
-                               fixtures=fixtures, max_tags=args.max_tags)
+    server = MockBackendServer(port=args.port, fixtures=fixtures,
+                               **_given(args, {}, host="host", max_tags="max_tags"))
     for stage, url in server.endpoints.items():
         _err(f"{stage}: {url}")
     try:
@@ -464,9 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("mock-serve", help="serve deterministic mock backends"))
     p.add_argument("--port", type=int, default=8080)
-    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--host")
     p.add_argument("--fixtures", metavar="TABLE_JSON")
-    p.add_argument("--max-tags", dest="max_tags", type=int, default=32)
+    p.add_argument("--max-tags", dest="max_tags", type=int)
     p.set_defaults(func=_cmd_mock_serve)
 
     p = common(sub.add_parser("validate", help="check a sidecar against every invariant"))

@@ -24,6 +24,7 @@ from .catalog import canonical_json_bytes
 from .raster import PgmError, decode_pgm
 
 FALLBACK_CAPTION = "a page from a treatise"
+MAX_BODY_BYTES = 64 << 20  # larger bodies get 413 unread; base64 pages are far smaller
 _QUOTED = re.compile(r'"([^"]*)"')
 
 
@@ -173,6 +174,10 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
             length = 0
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._reply(413, {"error": f"request body over {MAX_BODY_BYTES} bytes"})
+            return
         raw = self.rfile.read(length) if length > 0 else b""
         endpoint = self.path[4:] if self.path.startswith("/v1/") else None
         status, obj = mock_response(

@@ -82,7 +82,6 @@ class PipelineConfig:
     tag_vocabulary: tuple = ()  # optional closed list for M2/M3
     max_tags: int = 32
     timeout: float = 10.0
-    domain_context: str = DEFAULT_DOMAIN_CONTEXT
     language: str = "en"
     h_threshold: int = 0          # native path: marker shallowness cutoff
     relief: str = "gradient"      # native path: "gradient" or "raw"

@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import socket
 import time
 
 import pytest
@@ -15,6 +16,7 @@ from treatise.backends import (
     WireSchemaError,
     resolve_endpoints,
 )
+from treatise import mockserver
 from treatise.catalog import canonical_json_bytes
 from treatise.mockserver import (
     FALLBACK_CAPTION,
@@ -273,6 +275,18 @@ class TestLiveServer:
         start = time.perf_counter()
         srv.stop()
         assert time.perf_counter() - start < 0.25
+
+    def test_oversized_body_gets_413_unread(self):
+        # only the header claims the size: no body is sent, none is read
+        with MockBackendServer() as srv:
+            with socket.create_connection((srv.host, srv.port), timeout=1.0) as sock:
+                sock.sendall(f"POST /v1/tag HTTP/1.1\r\nHost: {srv.host}\r\n"
+                             f"Content-Length: {mockserver.MAX_BODY_BYTES + 1}\r\n\r\n"
+                             .encode())
+                reply = b""
+                while chunk := sock.recv(4096):  # the server closes after replying
+                    reply += chunk
+        assert reply.startswith(b"HTTP/1.1 413 ")
 
     def test_error_propagates_as_backend_error(self):
         with MockBackendServer() as srv:

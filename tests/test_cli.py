@@ -3,9 +3,11 @@
 Covers the exit-code contract (0 ok, 1 usage, 2 data, 3 backend), config
 file handling, and a round trip through every subcommand."""
 
+import argparse
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +22,10 @@ from treatise.catalog import (
     utc_timestamp,
     write_sidecar,
 )
-from treatise.cli import main
+from treatise.cli import _load_config, main
+from treatise.lexicon import load_glossary
 from treatise.mockserver import MockBackendServer
+from treatise.pipeline import seed_source_hash
 from treatise.raster import BoundingBox, MaskRLE, Segment, decode_pgm
 
 IMG = make_pgm([
@@ -489,6 +493,71 @@ def test_config_rejects_malformed_endpoints(tmp_path, capsys, endpoints):
     assert err.count("\n") == 1 and err.startswith(f"error: config {cfg}:")
 
 
+# wrong JSON types (a bool is no number, a string no list) and two unknown
+# keys, the former aliases of seg_stage and vocabulary
+BAD_CONFIGS = [
+    {"glossary": []}, {"manifest": []}, {"index": []}, {"max_tags": []},
+    {"timeout": {}}, {"tag_vocabulary": 5}, {"tag_vocabulary": "keel"},
+    {"tag_vocabulary": [1]}, {"h": []}, {"h": 2.5}, {"h": True},
+    {"method": ["m2"]}, {"segmentation_stage": "after_labeling"},
+    {"vocabulary_path": "x"},
+]
+CONFIG_COMMANDS = {
+    "segment": ["segment", "--in", "page.pgm"],
+    "pipeline": ["pipeline", "--method", "m2", "--in", "page.pgm"],
+    "search": ["search", "--query", "keel"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+@pytest.mark.parametrize("doc", BAD_CONFIGS, ids=json.dumps)
+def test_config_rejects_bad_key_or_type(tmp_path, capsys, command, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    write_image(tmp_path)
+    name, *rest = CONFIG_COMMANDS[command]
+    code, _, err = run(capsys, name, "--config", str(cfg), *rest)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith(f"error: config {cfg}:")
+
+
+def test_config_values_reach_the_segmenter(tmp_path, capsys):
+    # under raw relief, RIDGE's second basin is 1 deep: h=2 merges it away
+    image = write_image(tmp_path, data=RIDGE)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h": 2, "relief": "raw"}))
+    assert run(capsys, "segment", "--in", image, "--relief", "raw")[2].startswith("2 segments")
+    code, _, err = run(capsys, "segment", "--config", str(cfg), "--in", image)
+    assert code == 0 and err.startswith("1 segments")
+    # a flag wins over the config key
+    code, _, err = run(capsys, "segment", "--config", str(cfg), "--in", image, "--h", "0")
+    assert code == 0 and err.startswith("2 segments")
+
+
+def test_vocab_reads_domain_context_from_config(tmp_path, capsys, server):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"endpoints": server.endpoints, "domain_context": "rigging"}))
+    seed = tmp_path / "seed.json"
+    assert run(capsys, "vocab", "--config", str(cfg), "--glossary", GLOSSARY,
+               "--out", str(seed))[0] == 0
+    glossary = load_glossary(open(GLOSSARY, "rb").read())
+    assert json.loads(seed.read_text())["source_hash"] == seed_source_hash(
+        glossary, "en", "rigging")
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(example)
+    for key in ("glossary", "ontology", "manifest"):
+        if key in doc:
+            (tmp_path / doc[key]).write_text("{}")
+    cfg = tmp_path / "treatise.json"
+    cfg.write_text(example)
+    assert _load_config(argparse.Namespace(config=str(cfg))) == doc
+
+
 def test_config_must_be_an_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[]")
@@ -605,6 +674,22 @@ def test_corpus_backend_failures_exit_3(tmp_path, capsys):
                        "--manifest", manifest, "--method", "m1")
     assert code == 3
     assert "failed=1" in out
+
+
+@pytest.mark.parametrize("field", ["year_range", "count"])
+def test_corpus_manifest_rejects_bools(tmp_path, capsys, field):
+    # True == 1, so [true, 1700] would pass as a range and true as one image
+    manifest = Path(_manifest(tmp_path, ["p1.pgm"]))
+    doc = json.loads(manifest.read_text())
+    if field == "year_range":
+        doc["year_range"] = [True, 1700]
+    else:
+        doc["treatises"][0]["count"] = True
+    manifest.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "pipeline", "--manifest", str(manifest), "--method", "native")
+    assert code == 2
+    assert field in err
+    assert not (tmp_path / "p1.pgm.segments.json").exists()
 
 
 def test_corpus_bad_manifest(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Smoke test: every script under demos/ runs to completion."""
+"""Smoke test: every script under demos/ runs to completion and leaves
+nothing behind in the temporary directory."""
 
 import os
 import subprocess
@@ -13,8 +14,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
-    # demos put their scratch files under tempfile's directory; keep them here
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    # demos put their scratch files under tempfile's directory and must remove them
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmpdir))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmpdir.iterdir()) == []
