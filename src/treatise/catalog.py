@@ -171,46 +171,36 @@ def _want(obj: dict, key: str, kinds, path: str, required=True):
             raise SidecarFormatError(f"{path}/{key}", "missing required key")
         return None
     value = obj[key]
-    if kinds is not None and not isinstance(value, kinds):
-        # bool is an int subclass; never accept it where a number is wanted
+    # bool is an int subclass; never accept it where a number is wanted
+    if not isinstance(value, kinds) or (type(value) is bool and kinds is not bool):
         raise SidecarFormatError(f"{path}/{key}", f"unexpected type {type(value).__name__}")
-    if kinds is not None and isinstance(value, bool) and bool not in _as_tuple(kinds):
-        raise SidecarFormatError(f"{path}/{key}", "unexpected type bool")
-    return value
-
-
-def _as_tuple(kinds):
-    return kinds if isinstance(kinds, tuple) else (kinds,)
-
-
-def _int_list(value, n, path) -> list:
-    if not isinstance(value, list) or len(value) != n or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
-        raise SidecarFormatError(path, f"expected a list of {n} integers")
     return value
 
 
 def _segment_from_obj(obj, path: str) -> Segment:
+    # `type(v) is int` rejects bools; a path is built only for a failing value
     if not isinstance(obj, dict):
         raise SidecarFormatError(path, "segment must be an object")
     sid = _want(obj, "id", int, path)
-    bx = _int_list(_want(obj, "bbox", list, path), 4, f"{path}/bbox")
+    bx = _want(obj, "bbox", list, path)
+    if len(bx) != 4 or not all(type(v) is int for v in bx):
+        raise SidecarFormatError(f"{path}/bbox", "expected a list of 4 integers")
     area = _want(obj, "area", int, path)
     mask_obj = _want(obj, "mask", dict, path)
     counts = _want(mask_obj, "counts", list, f"{path}/mask")
-    if not all(isinstance(c, int) and not isinstance(c, bool) for c in counts):
+    if not all(type(c) is int for c in counts):
         raise SidecarFormatError(f"{path}/mask/counts", "counts must be integers")
-    contour_raw = _want(obj, "contour", list, path)
-    contour = []
-    for i, pt in enumerate(contour_raw):
-        contour.append(tuple(_int_list(pt, 2, f"{path}/contour/{i}")))
+    contour = _want(obj, "contour", list, path)
+    for j, pt in enumerate(contour):
+        if (type(pt) is not list or len(pt) != 2
+                or type(pt[0]) is not int or type(pt[1]) is not int):
+            raise SidecarFormatError(f"{path}/contour/{j}", "expected a list of 2 integers")
     try:
         bbox = BoundingBox(bx[0], bx[1], bx[2], bx[3])
     except ValueError as exc:
         raise SidecarFormatError(f"{path}/bbox", str(exc)) from None
     mask = MaskRLE(width=bx[2], height=bx[3], counts=tuple(counts))
-    return Segment(id=sid, bbox=bbox, mask=mask, area=area, contour=tuple(contour))
+    return Segment(id=sid, bbox=bbox, mask=mask, area=area, contour=tuple(map(tuple, contour)))
 
 
 def _assignment_from_obj(obj, path: str) -> LabelAssignment:
@@ -388,7 +378,9 @@ def write_sidecar(record: ImageRecord, destination) -> bytes:
     return data
 
 
-def read_sidecar(data: bytes | str) -> ImageRecord:
+def read_sidecar(data: bytes | str, image_bytes: bytes | None = None) -> ImageRecord:
+    """Parse, build and validate a record; with image_bytes, its image_id
+    must also be their SHA-256."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -396,7 +388,7 @@ def read_sidecar(data: bytes | str) -> ImageRecord:
     except json.JSONDecodeError as exc:
         raise SidecarFormatError("/", f"invalid JSON: {exc}") from exc
     record = record_from_obj(doc)
-    violations = validate_record(record)
+    violations = validate_record(record, image_bytes)
     if violations:
         raise SidecarValidationError(violations)
     return record

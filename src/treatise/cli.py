@@ -23,6 +23,7 @@ from urllib.parse import urlsplit
 from . import evaluation, lexicon, ontology, retrieval
 from .backends import BackendError, resolve_endpoints
 from .catalog import (
+    METHODS,
     ManifestError,
     SidecarFormatError,
     SidecarValidationError,
@@ -30,10 +31,8 @@ from .catalog import (
     load_manifest,
     load_sidecar,
     read_sidecar,
-    record_from_obj,
     render_overlay,
     sidecar_path,
-    validate_record,
     write_sidecar,
 )
 from .lexicon import GlossaryFormatError
@@ -53,8 +52,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
 
-_METHOD_NAMES = {"m1": "M1", "m2": "M2", "m3": "M3", "m4": "M4",
-                 "m4b": "M4b", "native": "native"}
+_METHOD_NAMES = {m.lower(): m for m in METHODS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,6 +62,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+class UsageError(Exception):
+    """A required option is missing or out of range; exits EXIT_USAGE."""
 
 
 def _err(message: str) -> None:
@@ -97,8 +99,11 @@ def _load_config(args) -> dict:
         path = "treatise.json"
     if path is None:
         return {}
-    with open(path, "rb") as fh:
-        cfg = json.loads(fh.read().decode("utf-8"))
+    try:
+        with open(path, "rb") as fh:
+            cfg = json.loads(fh.read().decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"config {path}: invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path}: top level must be an object")
     for key, value in cfg.items():
@@ -118,12 +123,13 @@ def _load_config(args) -> dict:
 
 
 def _opt(args, cfg: dict, name: str, required: str | None = None):
-    """The flag's value, else the config key's, else None, or else `required` raised."""
+    """The flag's value, else the config key's, else None, or else `required`
+    raised as a UsageError."""
     value = getattr(args, name, None)
     if value is None:
         value = cfg.get(name)
     if value is None and required is not None:
-        raise ValueError(required)
+        raise UsageError(required)
     return value
 
 
@@ -174,13 +180,15 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise UsageError("--workers must be at least 1")
     cfg = _load_config(args)
     config = _pipeline_config(args, cfg)
     glossary = _knowledge(args, cfg, "glossary")
     onto = _knowledge(args, cfg, "ontology")
     manifest_path = _opt(args, cfg, "manifest")
     if args.infile is None and manifest_path is None:
-        raise ValueError("need --in IMAGE or --manifest MANIFEST")
+        raise UsageError("need --in IMAGE or --manifest MANIFEST")
     if args.infile is not None:
         with open(args.infile, "rb") as fh:
             blob = fh.read()
@@ -303,7 +311,7 @@ def _cmd_eval(args) -> int:
     preds = args.pred or []
     truths = args.truth or []
     if len(preds) != len(truths) or not preds:
-        raise ValueError("eval needs matching --pred/--truth pairs")
+        raise UsageError("eval needs matching --pred/--truth pairs")
     glossary = _knowledge(args, cfg, "glossary") or lexicon.Glossary({}, {})
     onto = _knowledge(args, cfg, "ontology") or ontology.Ontology({}, ())
     reports = []
@@ -355,15 +363,14 @@ def _cmd_mock_serve(args) -> int:
 def _cmd_validate(args) -> int:
     with open(args.infile, "rb") as fh:
         data = fh.read()
-    doc = json.loads(data.decode("utf-8"))
-    record = record_from_obj(doc)
     image_bytes = None
     if args.image:
         with open(args.image, "rb") as fh:
             image_bytes = fh.read()
-    violations = validate_record(record, image_bytes)
-    if violations:
-        for v in violations:
+    try:
+        read_sidecar(data, image_bytes)
+    except SidecarValidationError as exc:
+        for v in exc.violations:
             print(v)
         return EXIT_DATA
     print("ok")
@@ -445,20 +452,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="REPORT_JSON")
     p.set_defaults(func=_cmd_eval)
 
-    p = common(sub.add_parser("overlay", help="render contours and boxes onto the image"))
+    p = sub.add_parser("overlay", help="render contours and boxes onto the image")
     p.add_argument("--in", dest="infile", required=True, metavar="IMAGE")
     p.add_argument("--sidecar", metavar="SIDECAR")
     p.add_argument("--out", required=True, metavar="IMAGE")
     p.set_defaults(func=_cmd_overlay)
 
-    p = common(sub.add_parser("mock-serve", help="serve deterministic mock backends"))
+    p = sub.add_parser("mock-serve", help="serve deterministic mock backends")
     p.add_argument("--port", type=int, default=8080)
     p.add_argument("--host")
     p.add_argument("--fixtures", metavar="TABLE_JSON")
     p.add_argument("--max-tags", dest="max_tags", type=int)
     p.set_defaults(func=_cmd_mock_serve)
 
-    p = common(sub.add_parser("validate", help="check a sidecar against every invariant"))
+    p = sub.add_parser("validate", help="check a sidecar against every invariant")
     p.add_argument("--in", dest="infile", required=True, metavar="SIDECAR")
     p.add_argument("--image", metavar="IMAGE", help="re-hash these bytes against image_id")
     p.set_defaults(func=_cmd_validate)
@@ -477,6 +484,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
+    except UsageError as exc:
+        _err(f"error: {exc}")
+        return EXIT_USAGE
     except BackendError as exc:
         _err(f"error: {exc}")
         return EXIT_BACKEND

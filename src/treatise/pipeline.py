@@ -119,16 +119,8 @@ def derive_tags_from_caption(caption: str, max_tags: int = 32, stopwords=None) -
     deduplicate in order, truncate."""
     if stopwords is None:
         stopwords = fixtures.stopwords("en")
-    seen = set()
-    out = []
-    for tok in lexicon.tokenize(caption):
-        if tok in stopwords or tok in seen:
-            continue
-        seen.add(tok)
-        out.append(tok)
-        if len(out) >= max_tags:
-            break
-    return out
+    tags = dict.fromkeys(tok for tok in lexicon.tokenize(caption) if tok not in stopwords)
+    return list(tags)[:max_tags]
 
 
 def build_definition_prompt(term: str, domain_context: str = DEFAULT_DOMAIN_CONTEXT) -> str:
@@ -156,6 +148,8 @@ def load_vocabulary_seed(data: bytes | str) -> VocabularySeed:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     doc = json.loads(data)
+    if not isinstance(doc, dict):
+        raise ValueError("vocabulary seed must be a JSON object")
     entries = doc.get("entries")
     source_hash = doc.get("source_hash")
     language = doc.get("language", "en")
@@ -317,20 +311,10 @@ def _collect_tags(client: BackendClient, image_bytes: bytes, config: PipelineCon
         if vocab is not None:
             canon = _canonical_map(vocab)
             raw = [canon[n] for n in map(lexicon.normalize_term, raw) if n in canon]
-        return None, _dedup(raw)[: config.max_tags], _SOURCES[method]
+        return None, list(dict.fromkeys(raw))[: config.max_tags], _SOURCES[method]
     # M4b: the definition texts themselves go to the grounder
     tags = [seed.entries[t] for t in seed.terms][: config.max_tags]
     return None, tags, _SOURCES[method]
-
-
-def _dedup(items) -> list:
-    seen = set()
-    out = []
-    for x in items:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out
 
 
 def _bind_detections(detections, segments, source: str) -> dict:

@@ -14,7 +14,7 @@ array step over its front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,29 +162,25 @@ class BoundingBox:
 @dataclass(frozen=True)
 class MaskRLE:
     """Row-major run-length mask. Counts alternate zero-run / one-run,
-    starting with the zero-run (which may be 0)."""
+    starting with the zero-run (which may be 0). Counts are a tuple of
+    Python ints; nothing coerces them."""
 
     width: int
     height: int
     counts: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-
 
 @dataclass(frozen=True)
 class Segment:
     """One detected region: tight box, bbox-local mask, area, and the ordered
-    boundary contour in image coordinates."""
+    boundary contour in image coordinates, a tuple of (x, y) tuples of Python
+    ints; nothing coerces it."""
 
     id: int
     bbox: BoundingBox
     mask: MaskRLE
     area: int
-    contour: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "contour", tuple((int(x), int(y)) for x, y in self.contour))
+    contour: tuple[tuple[int, int], ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +398,7 @@ def rle_encode(bits, width: int, height: int) -> MaskRLE:
     counts = (bounds[1:] - bounds[:-1]).tolist()
     if flat.size and flat[0]:
         counts.insert(0, 0)  # runs start with zeros
-    return MaskRLE(width, height, counts)
+    return MaskRLE(width, height, tuple(counts))
 
 
 def rle_decode(rle: MaskRLE) -> np.ndarray:

@@ -90,6 +90,7 @@ class TestRoundtrip:
             data = record_to_bytes(rec)
             back = read_sidecar(data)
             assert back == rec
+            assert hash(back.segments) == hash(rec.segments)
             assert validate_record(back, blob) == []
 
     def test_field_order_insensitive_bytes(self):
@@ -133,6 +134,25 @@ class TestRoundtrip:
         obj["width"] = True
         with pytest.raises(SidecarFormatError):
             record_from_obj(obj)
+
+    @pytest.mark.parametrize("field, value, path, message", [
+        ("bbox", [0, 0, 3, True], "/segments/0/bbox", "expected a list of 4 integers"),
+        ("bbox", [0, 0, 3], "/segments/0/bbox", "expected a list of 4 integers"),
+        ("counts", [0, 6.0], "/segments/0/mask/counts", "counts must be integers"),
+        ("counts", [False, 6], "/segments/0/mask/counts", "counts must be integers"),
+        ("contour", [[0, 0], [1, True]], "/segments/0/contour/1", "expected a list of 2 integers"),
+        ("contour", [[0, 0], [1.0, 0]], "/segments/0/contour/1", "expected a list of 2 integers"),
+        ("contour", [[0, 0, 0]], "/segments/0/contour/0", "expected a list of 2 integers"),
+        ("contour", [[0, 0], 7], "/segments/0/contour/1", "expected a list of 2 integers"),
+    ])
+    def test_segment_numbers_must_be_ints(self, field, value, path, message):
+        rec, _ = simple_record()
+        obj = record_to_obj(rec)
+        seg = obj["segments"][0]
+        (seg["mask"] if field == "counts" else seg)[field] = value
+        with pytest.raises(SidecarFormatError) as err:
+            record_from_obj(obj)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_unsupported_schema_version(self):
         rec, _ = simple_record()

@@ -119,6 +119,35 @@ def test_bad_choice_value(capsys):
     assert run(capsys, "pipeline", "--method", "m9", "--in", "x.pgm")[0] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--method", "native"],
+    ["index", "a.json"],
+    ["search", "--query", "keel"],
+    ["vocab", "--out", "seed.json"],
+    ["eval"],
+    ["eval", "--pred", "a.json"],
+    ["pipeline", "--manifest", "manifest.json", "--method", "native", "--workers", "-1"],
+    ["pipeline", "--manifest", "manifest.json", "--method", "native", "--workers", "0"],
+], ids=" ".join)
+def test_missing_or_out_of_range_option_is_a_usage_error(tmp_path, capsys, argv):
+    _manifest(tmp_path, ["p1.pgm"])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not (tmp_path / "p1.pgm.segments.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["overlay", "--in", "page.pgm", "--out", "o.pgm"],
+    ["validate", "--in", "page.pgm.segments.json"],
+    ["mock-serve", "--fixtures", "table.json"],
+], ids=lambda argv: argv[0])
+def test_commands_that_read_no_config_reject_the_config_flag(capsys, argv):
+    code, _, err = run(capsys, *argv, "--config", "missing.json")
+    assert code == 1
+    assert "unrecognized arguments: --config" in err
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
@@ -210,7 +239,9 @@ def test_validate_names_the_path_of_an_impossible_bbox(tmp_path, capsys, bbox):
 def test_validate_rejects_non_json(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{nope")
-    assert run(capsys, "validate", "--in", str(path))[0] == 2
+    code, out, err = run(capsys, "validate", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: /: invalid JSON: ") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------ pipeline
@@ -228,13 +259,13 @@ def test_pipeline_m1_single_image(tmp_path, capsys, config_path):
 
 def test_pipeline_needs_method(tmp_path, capsys, config_path):
     image = write_image(tmp_path)
-    assert run(capsys, "pipeline", "--config", config_path, "--in", image)[0] == 2
+    assert run(capsys, "pipeline", "--config", config_path, "--in", image)[0] == 1
 
 
 def test_pipeline_needs_input_or_manifest(capsys, config_path):
     code, _, err = run(capsys, "pipeline", "--config", config_path,
                        "--method", "m1")
-    assert code == 2
+    assert code == 1
     assert "manifest" in err.lower() or "--in" in err
 
 
@@ -281,7 +312,28 @@ def test_vocab_builds_then_serves_from_cache(tmp_path, capsys, config_path):
 
 def test_vocab_requires_glossary(tmp_path, capsys, config_path):
     assert run(capsys, "vocab", "--config", config_path,
-               "--out", str(tmp_path / "s.json"))[0] == 2
+               "--out", str(tmp_path / "s.json"))[0] == 1
+
+
+def test_pipeline_rejects_a_seed_that_is_not_an_object(tmp_path, capsys, config_path):
+    seed = tmp_path / "seed.json"
+    seed.write_text("[]")
+    image = write_image(tmp_path)
+    code, out, err = run(capsys, "pipeline", "--config", config_path, "--in", image,
+                         "--method", "m4", "--vocabulary", str(seed))
+    assert (code, out) == (2, "")
+    assert err == "error: vocabulary seed must be a JSON object\n"
+    assert not os.path.exists(sidecar_path(image))
+
+
+def test_vocab_rebuilds_a_cached_seed_that_is_not_an_object(tmp_path, capsys, config_path):
+    seed = tmp_path / "seed.json"
+    seed.write_text("[]")
+    code, _, err = run(capsys, "vocab", "--config", config_path,
+                       "--glossary", GLOSSARY, "--out", str(seed))
+    assert code == 0
+    assert "5 terms" in err
+    assert len(json.loads(seed.read_text())["entries"]) == 5
 
 
 def test_pipeline_m4b_with_seed(tmp_path, capsys, config_path):
@@ -317,7 +369,7 @@ def test_enrich_in_place_and_to_new_file(tmp_path, capsys):
 def test_enrich_requires_both_knowledge_files(tmp_path, capsys):
     sidecar = human_sidecar(tmp_path, "a.json", "a" * 64, ["quilha"])
     assert run(capsys, "enrich", "--in", sidecar,
-               "--glossary", GLOSSARY)[0] == 2
+               "--glossary", GLOSSARY)[0] == 1
 
 
 # ------------------------------------------------------------ index/search
@@ -369,7 +421,7 @@ def test_search_expand_requires_glossary(tmp_path, capsys):
     idx = str(tmp_path / "idx.json")
     run(capsys, "index", "--index", idx, a)
     assert run(capsys, "search", "--index", idx, "--query", "x",
-               "--expand")[0] == 2
+               "--expand")[0] == 1
 
 
 @pytest.mark.parametrize("snapshot, named", [
@@ -392,7 +444,7 @@ def test_search_rejects_malformed_snapshot_counts(tmp_path, capsys, snapshot, na
 
 def test_index_requires_snapshot_path(tmp_path, capsys):
     a = human_sidecar(tmp_path, "a.json", "a" * 64, ["keel"])
-    assert run(capsys, "index", a)[0] == 2
+    assert run(capsys, "index", a)[0] == 1
 
 
 # ------------------------------------------------------------ eval
@@ -425,8 +477,8 @@ def test_eval_works_without_knowledge_files(tmp_path, capsys):
 
 def test_eval_rejects_unpaired_files(tmp_path, capsys):
     pred = human_sidecar(tmp_path, "pred.json", "a" * 64, ["keel"])
-    assert run(capsys, "eval", "--pred", pred)[0] == 2
-    assert run(capsys, "eval")[0] == 2
+    assert run(capsys, "eval", "--pred", pred)[0] == 1
+    assert run(capsys, "eval")[0] == 1
 
 
 def test_eval_rejects_machine_truth(tmp_path, capsys):
@@ -563,6 +615,17 @@ def test_config_must_be_an_object(tmp_path, capsys):
     cfg.write_text("[]")
     image = write_image(tmp_path)
     assert run(capsys, "segment", "--config", str(cfg), "--in", image)[0] == 2
+
+
+@pytest.mark.parametrize("data", [b'{"h": 2,}', b"\xff"], ids=["trailing-comma", "not-utf8"])
+def test_config_that_is_not_json_is_named(tmp_path, capsys, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    image = write_image(tmp_path)
+    code, out, err = run(capsys, "segment", "--config", str(cfg), "--in", image)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config {cfg}: invalid JSON: ") and err.count("\n") == 1
+    assert not os.path.exists(sidecar_path(image))
 
 
 # ------------------------------------------------------------ corpus
