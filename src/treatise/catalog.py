@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import lexicon
+from . import lexicon, parse_json
 from .raster import (
     BoundingBox, ImageGrid, MaskRLE, RleError, Segment, boundary_mask, rle_decode,
 )
@@ -381,13 +381,7 @@ def write_sidecar(record: ImageRecord, destination) -> bytes:
 def read_sidecar(data: bytes | str, image_bytes: bytes | None = None) -> ImageRecord:
     """Parse, build and validate a record; with image_bytes, its image_id
     must also be their SHA-256."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SidecarFormatError("/", f"invalid JSON: {exc}") from exc
-    record = record_from_obj(doc)
+    record = record_from_obj(parse_json(data, lambda message: SidecarFormatError("/", message)))
     violations = validate_record(record, image_bytes)
     if violations:
         raise SidecarValidationError(violations)
@@ -453,12 +447,7 @@ class CorpusManifest:
 
 
 def load_manifest(data: bytes | str) -> CorpusManifest:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"invalid JSON: {exc}") from exc
+    doc = parse_json(data, ManifestError)
     if not isinstance(doc, dict) or not isinstance(doc.get("treatises"), list):
         raise ManifestError('top level must be {"treatises": [...]}')
     year_range = None

@@ -20,32 +20,21 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from urllib.parse import urlsplit
 
-from . import evaluation, lexicon, ontology, retrieval
+from . import evaluation, lexicon, ontology, parse_json, retrieval
 from .backends import BackendError, resolve_endpoints
 from .catalog import (
     METHODS,
-    ManifestError,
-    SidecarFormatError,
     SidecarValidationError,
     image_id_for,
     load_manifest,
-    load_sidecar,
     read_sidecar,
     render_overlay,
     sidecar_path,
     write_sidecar,
 )
-from .lexicon import GlossaryFormatError
 from .mockserver import MockBackendServer, load_fixture_table
-from .ontology import OntologyFormatError
-from .pipeline import (
-    PipelineConfig,
-    PipelineConfigError,
-    build_label_vocabulary,
-    enrich_labels,
-    run_pipeline,
-)
-from .raster import PgmError, RleError, decode_pgm, encode_pgm
+from .pipeline import PipelineConfig, build_label_vocabulary, enrich_labels, run_pipeline
+from .raster import decode_pgm, encode_pgm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,6 +61,18 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _read(kind: str, path: str, parse=None):
+    """The bytes of an input file, or what `parse` makes of them; a ValueError
+    from `parse` is raised again as `<kind> <path>: <message>`."""
+    with open(path, "rb") as fh:
+        if parse is None:
+            return fh.read()
+        try:
+            return parse(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{kind} {path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -93,33 +94,32 @@ _CONFIG_KEYS = {
 }
 
 
+def _parse_config(data: bytes) -> dict:
+    """A config file's object, each key checked against _CONFIG_KEYS."""
+    cfg = parse_json(data)
+    if not isinstance(cfg, dict):
+        raise ValueError("top level must be an object")
+    for key, value in cfg.items():
+        kind = _CONFIG_KEYS.get(key)
+        if kind is None:
+            raise ValueError(f"{key!r} is not a config key")
+        if not _JSON_TYPES[kind](value):
+            raise ValueError(f"{key} must be {kind}")
+    for key in ("glossary", "ontology", "manifest"):
+        if key in cfg and not os.path.exists(cfg[key]):
+            raise ValueError(f"{key} file {cfg[key]!r} does not exist")
+    for stage, url in cfg.get("endpoints", {}).items():
+        parts = urlsplit(url) if isinstance(url, str) else None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.netloc:
+            raise ValueError(f"endpoint {stage} URL {url!r} is not valid")
+    return cfg
+
+
 def _load_config(args) -> dict:
     path = getattr(args, "config", None)
     if path is None and os.path.exists("treatise.json"):
         path = "treatise.json"
-    if path is None:
-        return {}
-    try:
-        with open(path, "rb") as fh:
-            cfg = json.loads(fh.read().decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise ValueError(f"config {path}: invalid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config {path}: top level must be an object")
-    for key, value in cfg.items():
-        kind = _CONFIG_KEYS.get(key)
-        if kind is None:
-            raise ValueError(f"config {path}: {key!r} is not a config key")
-        if not _JSON_TYPES[kind](value):
-            raise ValueError(f"config {path}: {key} must be {kind}")
-    for key in ("glossary", "ontology", "manifest"):
-        if key in cfg and not os.path.exists(cfg[key]):
-            raise ValueError(f"config {path}: {key} file {cfg[key]!r} does not exist")
-    for stage, url in cfg.get("endpoints", {}).items():
-        parts = urlsplit(url) if isinstance(url, str) else None
-        if parts is None or parts.scheme not in ("http", "https") or not parts.netloc:
-            raise ValueError(f"config {path}: endpoint {stage} URL {url!r} is not valid")
-    return cfg
+    return {} if path is None else _read("config", path, _parse_config)
 
 
 def _opt(args, cfg: dict, name: str, required: str | None = None):
@@ -145,8 +145,7 @@ def _knowledge(args, cfg: dict, name: str, required: str | None = None):
     if path is None:
         return None
     load = lexicon.load_glossary if name == "glossary" else ontology.load_ontology
-    with open(path, "rb") as fh:
-        return load(fh.read())
+    return _read(name, path, load)
 
 
 def _pipeline_config(args, cfg: dict) -> PipelineConfig:
@@ -170,9 +169,7 @@ def _cmd_segment(args) -> int:
     cfg = _load_config(args)
     config = PipelineConfig(method="native",
                             **_given(args, cfg, relief="relief", h_threshold="h"))
-    with open(args.infile, "rb") as fh:
-        blob = fh.read()
-    record = run_pipeline(blob, config, source_path=args.infile)
+    record = run_pipeline(_read("image", args.infile), config, source_path=args.infile)
     out = args.out or sidecar_path(args.infile)
     write_sidecar(record, out)
     _err(f"{len(record.segments)} segments -> {out}")
@@ -180,8 +177,6 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    if args.workers is not None and args.workers < 1:
-        raise UsageError("--workers must be at least 1")
     cfg = _load_config(args)
     config = _pipeline_config(args, cfg)
     glossary = _knowledge(args, cfg, "glossary")
@@ -190,9 +185,8 @@ def _cmd_pipeline(args) -> int:
     if args.infile is None and manifest_path is None:
         raise UsageError("need --in IMAGE or --manifest MANIFEST")
     if args.infile is not None:
-        with open(args.infile, "rb") as fh:
-            blob = fh.read()
-        record = run_pipeline(blob, config, glossary, onto, source_path=args.infile)
+        record = run_pipeline(_read("image", args.infile), config, glossary, onto,
+                              source_path=args.infile)
         out = args.out or sidecar_path(args.infile)
         write_sidecar(record, out)
         _err(f"{len(record.segments)} segments, "
@@ -203,8 +197,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _run_corpus(manifest_path, config, glossary, onto, force=False, workers=None) -> int:
-    with open(manifest_path, "rb") as fh:
-        manifest = load_manifest(fh.read())
+    manifest = _read("manifest", manifest_path, load_manifest)
     base = os.path.dirname(os.path.abspath(manifest_path))
     images = [os.path.join(base, rel)
               for t in manifest.treatises for rel in t.images]
@@ -212,8 +205,7 @@ def _run_corpus(manifest_path, config, glossary, onto, force=False, workers=None
     def work(path):
         out = sidecar_path(path)
         try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
+            blob = _read("image", path)
             if not force and _is_current(out, blob, config.method):
                 return "skipped", None
             record = run_pipeline(blob, config, glossary, onto, source_path=path)
@@ -243,7 +235,7 @@ def _is_current(sidecar: str, image_bytes: bytes, method: str) -> bool:
     """True when the sidecar on disk is a valid record of these image bytes
     made by this method; anything else is reprocessed."""
     try:
-        record = load_sidecar(sidecar)
+        record = _read("sidecar", sidecar, read_sidecar)
     except (OSError, ValueError):
         return False
     return record.image_id == image_id_for(image_bytes) and record.provenance.method == method
@@ -269,7 +261,7 @@ def _cmd_enrich(args) -> int:
     need = "this command needs --glossary and --ontology (flag or config)"
     glossary = _knowledge(args, cfg, "glossary", need)
     onto = _knowledge(args, cfg, "ontology", need)
-    record = load_sidecar(args.infile)
+    record = _read("sidecar", args.infile, read_sidecar)
     enriched = replace(record, assignments=enrich_labels(record.assignments, glossary, onto))
     out = args.out or args.infile
     write_sidecar(enriched, out)
@@ -284,7 +276,7 @@ def _cmd_index(args) -> int:
     else:
         index = retrieval.Index()
     for path in args.sidecars:
-        retrieval.index_record(index, load_sidecar(path))
+        retrieval.index_record(index, _read("sidecar", path, read_sidecar))
     retrieval.save_index(index, index_path)
     _err(f"{index.doc_count} documents -> {index_path}")
     return EXIT_OK
@@ -316,9 +308,8 @@ def _cmd_eval(args) -> int:
     onto = _knowledge(args, cfg, "ontology") or ontology.Ontology({}, ())
     reports = []
     for pred_path, truth_path in zip(preds, truths):
-        predicted = load_sidecar(pred_path)
-        with open(truth_path, "rb") as fh:
-            truth = evaluation.load_truth(fh.read())
+        predicted = _read("sidecar", pred_path, read_sidecar)
+        truth = _read("truth", truth_path, evaluation.load_truth)
         reports.append(evaluation.evaluate(
             predicted, truth, glossary, onto, iou_threshold=args.iou_threshold))
     overall = evaluation.aggregate(reports, macro=args.macro)
@@ -335,9 +326,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_overlay(args) -> int:
-    with open(args.infile, "rb") as fh:
-        grid = decode_pgm(fh.read())
-    record = load_sidecar(args.sidecar or sidecar_path(args.infile))
+    grid = _read("image", args.infile, decode_pgm)
+    record = _read("sidecar", args.sidecar or sidecar_path(args.infile), read_sidecar)
     out_grid = render_overlay(grid, record)
     with open(args.out, "wb") as fh:
         fh.write(encode_pgm(out_grid))
@@ -345,10 +335,7 @@ def _cmd_overlay(args) -> int:
 
 
 def _cmd_mock_serve(args) -> int:
-    fixtures = None
-    if args.fixtures:
-        with open(args.fixtures, "rb") as fh:
-            fixtures = load_fixture_table(fh.read())
+    fixtures = _read("fixtures", args.fixtures, load_fixture_table) if args.fixtures else None
     server = MockBackendServer(port=args.port, fixtures=fixtures,
                                **_given(args, {}, host="host", max_tags="max_tags"))
     for stage, url in server.endpoints.items():
@@ -361,12 +348,8 @@ def _cmd_mock_serve(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.infile, "rb") as fh:
-        data = fh.read()
-    image_bytes = None
-    if args.image:
-        with open(args.image, "rb") as fh:
-            image_bytes = fh.read()
+    data = _read("sidecar", args.infile)
+    image_bytes = _read("image", args.image) if args.image else None
     try:
         read_sidecar(data, image_bytes)
     except SidecarValidationError as exc:
@@ -473,6 +456,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each numeric flag's dest, with its lowest and highest (None: no limit) value;
+# NaN is in no range, since every comparison with it is false
+_FLAG_RANGES = {"workers": (1, None), "h": (0, None), "max_tags": (1, None), "k": (1, None),
+                "iou_threshold": (0, 1), "port": (0, 65535)}
+
+
+def _check_ranges(args) -> None:
+    for dest, (low, high) in _FLAG_RANGES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not (low <= value and (high is None or value <= high)):
+            bound = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise UsageError(f"--{dest.replace('_', '-')} must be {bound}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -483,6 +480,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        _check_ranges(args)
         return args.func(args)
     except UsageError as exc:
         _err(f"error: {exc}")
@@ -490,10 +488,7 @@ def main(argv=None) -> int:
     except BackendError as exc:
         _err(f"error: {exc}")
         return EXIT_BACKEND
-    except (PgmError, RleError, SidecarFormatError, SidecarValidationError,
-            GlossaryFormatError, OntologyFormatError, ManifestError,
-            PipelineConfigError, json.JSONDecodeError, ValueError, KeyError,
-            OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         _err(f"error: {exc}")
         return EXIT_DATA
     except KeyboardInterrupt:

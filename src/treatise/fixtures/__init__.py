@@ -5,7 +5,6 @@ full curated resources."""
 from __future__ import annotations
 
 from importlib import resources
-from pathlib import Path
 
 from .. import lexicon
 
@@ -14,11 +13,6 @@ LANGUAGES = ("en", "pt", "fr", "it", "nl", "la")
 
 def read_bytes(name: str) -> bytes:
     return (resources.files(__package__) / name).read_bytes()
-
-
-def path(name: str) -> Path:
-    """Filesystem path of a packaged fixture (valid for directory installs)."""
-    return Path(str(resources.files(__package__) / name))
 
 
 def glossary() -> "lexicon.Glossary":

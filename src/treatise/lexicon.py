@@ -12,10 +12,11 @@ normalized variants (any language) back to entry ids.
 
 from __future__ import annotations
 
-import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
+
+from . import parse_json
 
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 
@@ -89,12 +90,7 @@ def _pairs_no_dup(pairs):
 
 def load_glossary(data: bytes | str) -> Glossary:
     """Parse and validate a glossary file, building the variant index."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data, object_pairs_hook=_pairs_no_dup)
-    except json.JSONDecodeError as exc:
-        raise GlossaryFormatError(f"invalid JSON: {exc}") from exc
+    doc = parse_json(data, GlossaryFormatError, object_pairs_hook=_pairs_no_dup)
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
         raise GlossaryFormatError('top level must be {"entries": {...}}')
     entries: dict[str, GlossEntry] = {}

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
+from . import parse_json
 from .backends import STAGES
 from .catalog import canonical_json_bytes
 from .raster import PgmError, decode_pgm
@@ -123,8 +123,8 @@ def mock_response(endpoint, raw_body: bytes, fixtures=None, max_tags: int = 32):
     if canned is not None:
         return 200, canned
     try:
-        payload = json.loads(raw_body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+        payload = parse_json(raw_body)
+    except ValueError:
         return 400, {"error": "request body is not JSON"}
     if not isinstance(payload, dict):
         return 400, {"error": "request body must be a JSON object"}
@@ -144,9 +144,7 @@ def mock_response(endpoint, raw_body: bytes, fixtures=None, max_tags: int = 32):
 
 def load_fixture_table(data: bytes | str) -> dict:
     """{endpoint: {request-sha256: response object}} from JSON."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    doc = json.loads(data)
+    doc = parse_json(data)
     if not isinstance(doc, dict):
         raise ValueError("fixture table must be a JSON object")
     for endpoint, table in doc.items():

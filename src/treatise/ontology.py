@@ -14,9 +14,11 @@ no transitive reasoning here; related_to is treated as untyped and symmetric.
 
 from __future__ import annotations
 
-import json
+import graphlib
 from collections import deque
 from dataclasses import dataclass, field
+
+from . import parse_json
 
 ZONES = ("bow", "stern", "keel", "bottom", "deck", "unspecified")
 
@@ -82,48 +84,9 @@ class Ontology:
         return self._by_gloss.get(gloss_id, ())
 
 
-def _require(concepts: dict, cid: str, ref: str, kind: str):
-    if ref not in concepts:
-        raise OntologyFormatError(f"concept {cid!r}: {kind} reference {ref!r} does not exist")
-
-
-def _find_is_a_cycle(concepts: dict[str, Concept]) -> list[str] | None:
-    """Iterative DFS; returns the node sequence of one cycle if present."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {cid: WHITE for cid in concepts}
-    for start in concepts:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(concepts[start].is_a))]
-        color[start] = GRAY
-        path = [start]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for parent in it:
-                if color[parent] == GRAY:
-                    return path[path.index(parent):]
-                if color[parent] == WHITE:
-                    color[parent] = GRAY
-                    path.append(parent)
-                    stack.append((parent, iter(concepts[parent].is_a)))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
-    return None
-
-
 def load_ontology(data: bytes | str) -> Ontology:
     """Parse, validate references, and reject any is_a cycle eagerly."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise OntologyFormatError(f"invalid JSON: {exc}") from exc
+    doc = parse_json(data, OntologyFormatError)
     if not isinstance(doc, dict) or not isinstance(doc.get("concepts"), dict):
         raise OntologyFormatError('top level must be {"roots": [...], "concepts": {...}}')
     raw_roots = doc.get("roots", [])
@@ -159,19 +122,20 @@ def load_ontology(data: bytes | str) -> Ontology:
         )
 
     for cid, c in concepts.items():
-        for ref in c.is_a:
-            _require(concepts, cid, ref, "is_a")
-        for ref in c.part_of:
-            _require(concepts, cid, ref, "part_of")
-        for ref in c.related_to:
-            _require(concepts, cid, ref, "related_to")
+        for kind in ("is_a", "part_of", "related_to"):
+            for ref in getattr(c, kind):
+                if ref not in concepts:
+                    raise OntologyFormatError(
+                        f"concept {cid!r}: {kind} reference {ref!r} does not exist")
     for r in raw_roots:
         if r not in concepts:
             raise OntologyFormatError(f"root {r!r} does not exist")
 
-    cycle = _find_is_a_cycle(concepts)
-    if cycle is not None:
-        raise CycleError(cycle)
+    try:
+        graphlib.TopologicalSorter({cid: c.is_a for cid, c in concepts.items()}).prepare()
+    except graphlib.CycleError as exc:
+        # graphlib walks the cycle against is_a and repeats its first node last
+        raise CycleError(exc.args[1][:0:-1]) from None
 
     related: dict[str, set[str]] = {cid: set(c.related_to) for cid, c in concepts.items()}
     for cid, c in concepts.items():

@@ -22,11 +22,10 @@ choice.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field, replace
 
-from . import fixtures, lexicon
+from . import fixtures, lexicon, parse_json
 from .backends import BackendClient, WireSchemaError, resolve_endpoints
 from .catalog import (
     METHODS,
@@ -145,9 +144,7 @@ def seed_source_hash(glossary: lexicon.Glossary, language: str,
 
 
 def load_vocabulary_seed(data: bytes | str) -> VocabularySeed:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    doc = json.loads(data)
+    doc = parse_json(data)
     if not isinstance(doc, dict):
         raise ValueError("vocabulary seed must be a JSON object")
     entries = doc.get("entries")

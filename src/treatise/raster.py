@@ -306,7 +306,9 @@ def regional_minima_markers(grid: ImageGrid, h: int = 0) -> MarkerMap:
         raise ValueError("h must be non-negative")
     f = grid.pixels.astype(np.int64)
     if h > 0:
-        f = suppress_shallow_minima(f, h)
+        # any h >= 256 lifts the whole uint8 frame above its highest pixel,
+        # so every such h gives one plateau; the cap keeps f + h in int64
+        f = suppress_shallow_minima(f, min(h, 256))
     idx = np.arange(f.size).reshape(f.shape)
     # union-find over the pairs (a, b) of equal-valued 4-neighbours
     right = idx[:, :-1][f[:, 1:] == f[:, :-1]]

@@ -12,11 +12,10 @@ ties break on doc_id ascending.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from . import lexicon
+from . import lexicon, parse_json
 from .catalog import ImageRecord, atomic_write, canonical_json_bytes
 
 K1 = 1.2
@@ -227,4 +226,4 @@ def save_index(index: Index, path) -> None:
 
 def load_index(path) -> Index:
     with open(path, "rb") as fh:
-        return index_from_obj(json.loads(fh.read().decode("utf-8")))
+        return index_from_obj(parse_json(fh.read()))

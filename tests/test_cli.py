@@ -6,10 +6,13 @@ file handling, and a round trip through every subcommand."""
 import argparse
 import json
 import os
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_pgm
 from treatise.catalog import (
@@ -17,16 +20,20 @@ from treatise.catalog import (
     LabelAssignment,
     Provenance,
     image_id_for,
+    load_manifest,
     load_sidecar,
     sidecar_path,
     utc_timestamp,
     write_sidecar,
 )
-from treatise.cli import _load_config, main
+from treatise.cli import _load_config, build_parser, main
+from treatise.evaluation import load_truth
 from treatise.lexicon import load_glossary
 from treatise.mockserver import MockBackendServer
+from treatise.ontology import load_ontology
 from treatise.pipeline import seed_source_hash
 from treatise.raster import BoundingBox, MaskRLE, Segment, decode_pgm
+from treatise.retrieval import load_index
 
 IMG = make_pgm([
     [0, 0, 9, 9],
@@ -770,3 +777,168 @@ def test_mock_serve_rejects_bad_fixture_table(tmp_path, capsys):
     assert run(capsys, "mock-serve", "--fixtures", str(path))[0] == 2
     path.write_text("{broken")
     assert run(capsys, "mock-serve", "--fixtures", str(path))[0] == 2
+
+
+# ------------------------------------------------------------ numeric flag ranges
+
+@pytest.mark.parametrize("argv, flag", [
+    (["mock-serve", "--port", "-1"], "port"),
+    (["mock-serve", "--port", "70000"], "port"),
+    (["search", "--index", "idx.json", "--query", "keel", "--k", "0"], "k"),
+    (["search", "--index", "idx.json", "--query", "keel", "--k", "-1"], "k"),
+    (["eval", "--pred", "a.json", "--truth", "b.json", "--iou-threshold", "nan"], "iou-threshold"),
+    (["eval", "--pred", "a.json", "--truth", "b.json", "--iou-threshold", "-1"], "iou-threshold"),
+    (["eval", "--pred", "a.json", "--truth", "b.json", "--iou-threshold", "1.5"], "iou-threshold"),
+    (["segment", "--in", "p1.pgm", "--h", "-5"], "h"),
+    (["pipeline", "--in", "p1.pgm", "--method", "native", "--max-tags", "0"], "max-tags"),
+    (["pipeline", "--manifest", "manifest.json", "--method", "native", "--workers", "0"],
+     "workers"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_numeric_flag_out_of_range_is_a_usage_error(tmp_path, capsys, argv, flag):
+    _manifest(tmp_path, ["p1.pgm"])
+    human_sidecar(tmp_path, "a.json", "a" * 64, ["keel"], source="tagger")
+    human_sidecar(tmp_path, "b.json", "a" * 64, ["keel"])
+    run(capsys, "index", "--index", "idx.json", "a.json")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: --{flag} must be ")
+    assert not (tmp_path / "p1.pgm.segments.json").exists()
+
+
+def test_segment_takes_an_h_too_large_for_int64(tmp_path, capsys):
+    image = write_image(tmp_path)
+    huge = str(10 ** 20)
+    assert run(capsys, "segment", "--in", image, "--h", "256", "--out", "ref.json")[0] == 0
+    assert run(capsys, "segment", "--in", image, "--h", huge, "--out", "flag.json")[0] == 0
+    (tmp_path / "cfg.json").write_text(f'{{"h": {huge}}}')
+    assert run(capsys, "segment", "--in", image, "--config", "cfg.json",
+               "--out", "config.json")[0] == 0
+    ref = load_sidecar(tmp_path / "ref.json").segments
+    assert load_sidecar(tmp_path / "flag.json").segments == ref
+    assert load_sidecar(tmp_path / "config.json").segments == ref
+
+
+# ------------------------------------------------------------ README examples
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.strip()]
+    assert commands and all(argv[0] == "treatise" for argv in commands)
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {' '.join(argv)}")
+
+
+# ------------------------------------------------------------ input files
+
+def _input_files(tmp_path):
+    """A valid file of each fuzzed input kind, by kind, and an image."""
+    image = write_image(tmp_path)
+    _manifest(tmp_path, ["p1.pgm"])
+    human_sidecar(tmp_path, "sidecar.json", "a" * 64, ["quilha"], source="tagger")
+    human_sidecar(tmp_path, "truth.json", "a" * 64, ["keel"])
+    (tmp_path / "cfg.json").write_text('{"h": 1, "relief": "gradient"}')
+    main(["index", "--index", "idx.json", "sidecar.json"])
+    files = {"sidecar": "sidecar.json", "truth": "truth.json", "manifest": "manifest.json",
+             "glossary": GLOSSARY, "ontology": ONTOLOGY, "config": "cfg.json",
+             "snapshot": "idx.json"}
+    return {kind: Path(path).read_bytes() for kind, path in files.items()}, image
+
+
+def _argv(reader, path, image):
+    """A command that reads `path` through `reader` and no other input that can fail."""
+    return {
+        "index": ["index", "--force", "--index", "out-idx.json", path],
+        "enrich": ["enrich", "--in", path, "--glossary", GLOSSARY, "--ontology", ONTOLOGY,
+                   "--out", "out.json"],
+        "eval --pred": ["eval", "--pred", path, "--truth", "truth.json"],
+        "overlay": ["overlay", "--in", image, "--sidecar", path, "--out", "out.pgm"],
+        "eval --truth": ["eval", "--pred", "sidecar.json", "--truth", path],
+        "pipeline": ["pipeline", "--manifest", path, "--method", "native", "--workers", "1"],
+        "vocab": ["vocab", "--glossary", path, "--out", "seed.json"],
+        "search --expand": ["search", "--index", "idx.json", "--query", "keel", "--expand",
+                            "--glossary", path],
+        "enrich --ontology": ["enrich", "--in", "sidecar.json", "--glossary", GLOSSARY,
+                              "--ontology", path, "--out", "out.json"],
+        "mock-serve": ["mock-serve", "--fixtures", path],
+        "segment": ["segment", "--config", path, "--in", image, "--out", "out.json"],
+        "search": ["search", "--index", path, "--query", "quilha keel"],
+    }[reader]
+
+
+@pytest.mark.parametrize("data", [b"\xff", b"[1,", b"[]"], ids=["not-utf8", "truncated", "list"])
+@pytest.mark.parametrize("reader, kind", [
+    ("index", "sidecar"), ("enrich", "sidecar"), ("eval --pred", "sidecar"),
+    ("overlay", "sidecar"), ("eval --truth", "truth"), ("pipeline", "manifest"),
+    ("vocab", "glossary"), ("enrich --ontology", "ontology"), ("mock-serve", "fixtures"),
+    ("segment", "config"),
+])
+def test_an_unreadable_input_file_is_named(tmp_path, capsys, reader, kind, data):
+    _, image = _input_files(tmp_path)
+    bad = tmp_path / f"bad-{kind}.json"
+    bad.write_bytes(data)
+    capsys.readouterr()
+    code, out, err = run(capsys, *_argv(reader, str(bad), image))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {kind} {bad}: ")
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for pos, op, byte in edits:
+        i = pos % (len(out) + 1)
+        if op == "insert":
+            out.insert(i, byte)
+        elif i < len(out):
+            if op == "replace":
+                out[i] = byte
+            else:
+                del out[i]
+    return bytes(out)
+
+
+# each fuzzed kind: the command that reads it, and the package function it hands the file to
+_FUZZED = {
+    "sidecar": ("index", load_sidecar),
+    "truth": ("eval --truth", lambda path: load_truth(path.read_bytes())),
+    "manifest": ("pipeline", lambda path: load_manifest(path.read_bytes())),
+    "glossary": ("search --expand", lambda path: load_glossary(path.read_bytes())),
+    "ontology": ("enrich --ontology", lambda path: load_ontology(path.read_bytes())),
+    "config": ("segment", lambda path: _load_config(argparse.Namespace(config=str(path)))),
+    "snapshot": ("search", load_index),
+}
+
+_edits = st.lists(st.tuples(st.integers(0, 1 << 16),
+                            st.sampled_from(["replace", "insert", "delete"]),
+                            st.sampled_from(list(b'{}[]",:-.019aeflnrstu \xff'))
+                            | st.integers(0, 255)),
+                  min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("kind", sorted(_FUZZED))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=_edits)
+def test_mutated_input_files_exit_0_or_2_with_one_line(tmp_path, capsys, kind, edits):
+    good, image = _input_files(tmp_path)
+    reader, load = _FUZZED[kind]
+    path = tmp_path / f"fuzz-{kind}.json"
+    path.write_bytes(_mutate(good[kind], edits))
+    try:
+        load(path)
+        rejected = False
+    except ValueError:
+        rejected = True
+    capsys.readouterr()
+    code, _, err = run(capsys, *_argv(reader, str(path), image))
+    assert code in (0, 2)
+    assert "Traceback" not in err and err.count("\n") <= 1
+    if rejected:
+        assert code == 2 and err.count("\n") == 1
+        if kind != "snapshot":  # `search` reads its snapshot through retrieval.load_index
+            assert err.startswith(f"error: {kind} {path}: ")

@@ -202,6 +202,17 @@ class TestMinima:
         suppressed = regional_minima_markers(grid, h=2)
         assert suppressed.labels.tolist() == [[1, 0, 0, 0, 0]]
 
+    def test_every_h_from_256_gives_the_markers_of_256(self):
+        # h >= 256 lifts a whole uint8 frame above its highest pixel; an h
+        # beyond int64 must not overflow
+        rng = np.random.default_rng(256)
+        for _ in range(300):
+            shape = tuple(int(n) for n in rng.integers(1, 12, size=2))
+            grid = ImageGrid(rng.integers(0, 256, size=shape, dtype=np.uint8))
+            want = regional_minima_markers(grid, h=256).labels.tolist()
+            for h in (257, 1000, 2**40, 2**62, 10**20):
+                assert regional_minima_markers(grid, h=h).labels.tolist() == want
+
     @settings(max_examples=40, deadline=None)
     @given(grids, st.integers(0, 4))
     def test_h_matches_reconstruction_oracle(self, rows, h):
