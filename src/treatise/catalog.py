@@ -20,13 +20,12 @@ import re
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
 from . import lexicon, parse_json
-from .raster import (
-    BoundingBox, ImageGrid, MaskRLE, RleError, Segment, boundary_mask, rle_decode,
-)
+from .raster import BoundingBox, ImageGrid, MaskRLE, Segment
 
 SCHEMA_VERSION = 1
 LABEL_SOURCES = ("caption-derived", "tagger", "grounder", "llm", "human")
@@ -270,6 +269,73 @@ def record_from_obj(doc: dict) -> ImageRecord:
     )
 
 
+# The array pass works in int64: it checks boxes whose far edges and pixel
+# count are at most _SPAN, in batches of at most _SPAN pixels, so no sum or
+# in-box position overflows; a point outside its box may wrap, and stays outside.
+_SPAN = 1 << 62
+# a contour point, then its up, down, left and right neighbours
+_DX = np.array([[0], [0], [0], [-1], [1]])
+_DY = np.array([[0], [-1], [1], [0], [0]])
+
+
+def _contour_points(segments) -> np.ndarray:
+    """The contour points of all segments, in order, as an (n, 2) int64
+    array; a coordinate past int64 becomes -_SPAN or _SPAN, outside every
+    box the array pass checks."""
+    def flat():
+        return chain.from_iterable(chain.from_iterable(s.contour for s in segments))
+    try:
+        xy = np.fromiter(flat(), np.int64)
+    except OverflowError:
+        xy = np.fromiter((min(max(v, -_SPAN), _SPAN) for v in flat()), np.int64)
+    return xy.reshape(-1, 2)
+
+
+def _mask_geometry(segments, base: int) -> tuple:
+    """Area, tight-box flag and the contour points that are not boundary
+    pixels, for segments whose run counts fill their boxes, read from the run
+    ends of all of them at once; no mask is decoded. Returns lists: the
+    areas; the tight flags; and for each such contour point, in order, a
+    tuple of its segment (numbered from `base`), its index in the contour,
+    and whether it is set (so interior) or not in the mask."""
+    n = len(segments)
+    x, y, w, h, nruns, npoints = np.array(
+        [(s.bbox.x, s.bbox.y, s.bbox.w, s.bbox.h, len(s.mask.counts), len(s.contour))
+         for s in segments], np.int64).T
+    counts = np.fromiter(chain.from_iterable(s.mask.counts for s in segments), np.int64)
+    # each segment's pixels follow the previous segment's, row-major in its box
+    start = np.cumsum(w * h) - w * h
+    ends = np.cumsum(counts)
+    first = np.cumsum(nruns) - nruns  # each segment's first run
+    run_seg = np.repeat(np.arange(n), nruns)
+    ones = ((np.arange(len(counts)) - first[run_seg]) & 1).astype(bool)  # runs of set pixels
+    areas = np.add.reduceat(counts * ones, first)
+
+    # tight: some non-empty one-run holds a pixel of each edge row and column
+    rw = w[run_seg]
+    stop = ends - start[run_seg]
+    lo = stop - counts
+    edges = ((lo < rw) | (stop > (h[run_seg] - 1) * rw) << 1
+             | ((-lo) % rw < counts) << 2 | ((rw - 1 - lo) % rw < counts) << 3)
+    tight = np.bitwise_or.reduceat(edges * (ones & (counts > 0)), first) == 15
+
+    # each contour point and its neighbours, in box coordinates, looked up in
+    # the run ends: a pixel is set when its run is odd among its segment's runs
+    xy = _contour_points(segments)
+    point_seg = np.repeat(np.arange(n), npoints)
+    pw, ph = w[point_seg], h[point_seg]
+    nx = (xy[:, 0] - x[point_seg]) + _DX
+    ny = (xy[:, 1] - y[point_seg]) + _DY
+    run = np.searchsorted(ends, start[point_seg] + ny * pw + nx, side="right")
+    is_set = (nx >= 0) & (nx < pw) & (ny >= 0) & (ny < ph) & np.append(ones, False)[run]
+    # a boundary pixel is set and has an unset neighbour
+    bad = np.flatnonzero(~is_set[0] | is_set.all(axis=0))
+    bad_seg = point_seg[bad]
+    index = bad - (np.cumsum(npoints) - npoints)[bad_seg]
+    return (areas.tolist(), tight.tolist(),
+            list(zip((bad_seg + base).tolist(), index.tolist(), is_set[0, bad].tolist())))
+
+
 def validate_record(record: ImageRecord, image_bytes: bytes | None = None) -> list:
     """Every violated invariant, each tagged with a JSON-pointer-style path.
     An empty list means the record is valid."""
@@ -281,44 +347,60 @@ def validate_record(record: ImageRecord, image_bytes: bytes | None = None) -> li
     if record.width < 1 or record.height < 1:
         out.append(Violation("/width", "frame must be at least 1x1"))
 
-    seen_ids = set()
-    for i, seg in enumerate(record.segments):
-        base = f"/segments/{i}"
-        if seg.id < 1:
-            out.append(Violation(f"{base}/id", "segment id must be >= 1"))
-        if seg.id in seen_ids:
-            out.append(Violation(f"{base}/id", f"duplicate segment id {seg.id}"))
-        seen_ids.add(seg.id)
-        b = seg.bbox
-        if not b.fits(record.width, record.height):
-            out.append(Violation(f"{base}/bbox", "box extends past the frame"))
+    # First the masks that cannot be checked against their box; the rest go,
+    # in batches of at most _SPAN pixels, to one array pass each.
+    segments = record.segments
+    mask_errors = [None] * len(segments)
+    batches, pixels = [], 0
+    for i, seg in enumerate(segments):
+        b, counts = seg.bbox, seg.mask.counts
         if seg.mask.width != b.w or seg.mask.height != b.h:
-            out.append(Violation(f"{base}/mask", "mask dimensions differ from bbox"))
-            continue
-        try:
-            local = rle_decode(seg.mask)
-        except RleError as exc:
-            out.append(Violation(f"{base}/mask", str(exc)))
-            continue
-        area = int(local.sum())
-        if seg.area != area:
-            out.append(Violation(f"{base}/area", f"area {seg.area} != {area} set mask pixels"))
-        if area == 0:
-            out.append(Violation(f"{base}/mask", "mask has no set pixels"))
+            mask_errors[i] = ("mask", "mask dimensions differ from bbox")
+        elif counts and min(counts) < 0:
+            mask_errors[i] = ("mask", "negative run count")
+        elif (total := sum(counts)) != b.w * b.h:
+            mask_errors[i] = ("mask", f"run counts sum to {total}, expected {b.w * b.h}")
+        elif b.x + b.w > _SPAN or b.y + b.h > _SPAN or total > _SPAN:
+            mask_errors[i] = ("bbox", "box edge or area past 2**62 pixels")
         else:
-            # tight box: the local mask must touch all four bbox edges
-            if not (local[0, :].any() and local[-1, :].any()
-                    and local[:, 0].any() and local[:, -1].any()):
-                out.append(Violation(f"{base}/bbox", "bbox is not tight around the mask"))
-        # per box pixel, row-major: 0 unset, 1 interior, 2 boundary
-        state = (local.view(np.int8) + boundary_mask(local)).ravel().tolist()
-        for j, (cx, cy) in enumerate(seg.contour):
-            lx, ly = cx - b.x, cy - b.y
-            code = state[ly * b.w + lx] if 0 <= lx < b.w and 0 <= ly < b.h else 0
-            if code == 0:
-                out.append(Violation(f"{base}/contour/{j}", "contour pixel not in mask"))
-            elif code == 1:
-                out.append(Violation(f"{base}/contour/{j}", "contour pixel is interior"))
+            if not batches or pixels + total > _SPAN:
+                batches.append([])
+                pixels = 0
+            batches[-1].append(seg)
+            pixels += total
+    areas, tight, bad = [], [], []
+    for batch in batches:
+        for acc, part in zip((areas, tight, bad), _mask_geometry(batch, len(areas))):
+            acc.extend(part)
+
+    seen_ids = set()
+    k = p = 0  # next checked segment, next bad contour point
+    for i, seg in enumerate(segments):
+        if seg.id < 1:
+            out.append(Violation(f"/segments/{i}/id", "segment id must be >= 1"))
+        if seg.id in seen_ids:
+            out.append(Violation(f"/segments/{i}/id", f"duplicate segment id {seg.id}"))
+        seen_ids.add(seg.id)
+        if not seg.bbox.fits(record.width, record.height):
+            out.append(Violation(f"/segments/{i}/bbox", "box extends past the frame"))
+        if mask_errors[i] is not None:
+            key, message = mask_errors[i]
+            out.append(Violation(f"/segments/{i}/{key}", message))
+            continue
+        area = areas[k]
+        if seg.area != area:
+            out.append(Violation(f"/segments/{i}/area",
+                                 f"area {seg.area} != {area} set mask pixels"))
+        if area == 0:
+            out.append(Violation(f"/segments/{i}/mask", "mask has no set pixels"))
+        elif not tight[k]:
+            out.append(Violation(f"/segments/{i}/bbox", "bbox is not tight around the mask"))
+        while p < len(bad) and bad[p][0] == k:
+            _, j, interior = bad[p]
+            message = "contour pixel is interior" if interior else "contour pixel not in mask"
+            out.append(Violation(f"/segments/{i}/contour/{j}", message))
+            p += 1
+        k += 1
 
     for sid, items in record.assignments.items():
         base = f"/assignments/{sid}"

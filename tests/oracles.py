@@ -253,6 +253,33 @@ def rle_oracle(bits):
     return counts
 
 
+def validate_geometry_oracle(segments):
+    """segments: (x, y, w, h, counts, contour) per segment, with non-negative
+    run counts summing to w * h. Decodes each mask to rows of bits and yields
+    (area, tight, codes) per segment: the set pixel count, whether the set
+    pixels touch all four box edges, and per contour point 0 when it is not
+    a set pixel, 1 when it is an interior one, 2 when it is a 4-boundary one."""
+    for x0, y0, w, h, counts, contour in segments:
+        bits = []
+        for k, run in enumerate(counts):
+            bits.extend([k % 2] * run)
+        mask = [bits[r * w:(r + 1) * w] for r in range(h)]
+        area = sum(bits)
+        tight = (any(mask[0]) and any(mask[-1])
+                 and any(row[0] for row in mask) and any(row[-1] for row in mask))
+        border = boundary_oracle(mask)
+        codes = []
+        for cx, cy in contour:
+            lx, ly = cx - x0, cy - y0
+            if not (0 <= lx < w and 0 <= ly < h) or not mask[ly][lx]:
+                codes.append(0)
+            elif (lx, ly) in border:
+                codes.append(2)
+            else:
+                codes.append(1)
+        yield area, tight, codes
+
+
 def box_iou_oracle(a, b):
     """IoU of two [x, y, w, h] boxes by enumerating integer cells."""
     cells_a = {(x, y) for x in range(a[0], a[0] + a[2])

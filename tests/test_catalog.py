@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -266,6 +267,102 @@ class TestValidate:
         rec2 = ImageRecord(**{**rec.__dict__, "provenance": Provenance(
             method="native", backend_ids={}, prompt_hashes=("zz",))})
         assert any("prompt_hashes" in v.path for v in validate_record(rec2))
+
+    def test_violations_match_the_geometry_oracle(self):
+        rng = random.Random(2026)
+        mutated = 0
+        for _ in range(3000):
+            rec, _ = fuzz_record(rng)
+            if rec.segments:
+                segments = list(rec.segments)
+                for _ in range(rng.randint(1, 3)):
+                    i = rng.randrange(len(segments))
+                    segments[i] = _mutate_segment(rng, segments[i], segments, rec)
+                rec = replace(rec, segments=tuple(segments))
+            got = [(v.path, v.message) for v in validate_record(rec)]
+            assert got == _oracle_violations(rec)
+            mutated += bool(got)
+        assert mutated > 1500
+
+
+def _mutate_segment(rng, seg, segments, rec):
+    """`seg` with one seeded change to its counts, area, contour, box or id."""
+    b, counts, contour = seg.bbox, list(seg.mask.counts), list(seg.contour)
+    kind = rng.choice(("count", "move unit", "zero runs", "area", "nudge point",
+                       "far point", "past frame", "wider", "id"))
+    if kind == "count":
+        k = rng.randrange(len(counts))
+        counts[k] += rng.choice((-5, -1, 1, 5))
+    elif kind == "move unit" and len(counts) > 1:
+        k = rng.randrange(len(counts) - 1)
+        step = rng.choice((-1, 1))
+        counts[k] -= step
+        counts[k + 1] += step
+    elif kind == "zero runs":
+        counts = [0, 0] + counts + [0, 0]
+    elif kind == "area":
+        return replace(seg, area=seg.area + rng.choice((-1, 1)))
+    elif kind == "nudge point" and contour:
+        j = rng.randrange(len(contour))
+        x, y = contour[j]
+        contour[j] = (x + rng.randint(-2, 2), y + rng.randint(-2, 2))
+    elif kind == "far point":
+        contour.append(rng.choice(((b.x + b.w + 1000, b.y), (-7, -7), (10**6, 10**6))))
+    elif kind == "past frame":
+        if rng.random() < 0.5:
+            b = BoundingBox(max(b.x, rec.width - b.w) + rng.randint(1, 3), b.y, b.w, b.h)
+        else:
+            b = BoundingBox(b.x, max(b.y, rec.height - b.h) + rng.randint(1, 3), b.w, b.h)
+    elif kind == "wider":
+        bits = [k % 2 for k, run in enumerate(counts) for _ in range(run)]
+        rows = [bits[r * b.w:(r + 1) * b.w] for r in range(b.h)]
+        if b.x > 0 and rng.random() < 0.5:
+            rows = [[0] + row for row in rows]
+            b = BoundingBox(b.x - 1, b.y, b.w + 1, b.h)
+        else:
+            rows = [row + [0] for row in rows]
+            b = BoundingBox(b.x, b.y, b.w + 1, b.h)
+        counts = oracles.rle_oracle([v for row in rows for v in row])
+    elif kind == "id":
+        return replace(seg, id=rng.choice((0, -1, rng.choice(segments).id)))
+    return replace(seg, bbox=b, mask=MaskRLE(b.w, b.h, tuple(counts)), contour=tuple(contour))
+
+
+def _oracle_violations(rec):
+    """(path, message) of each violation validate_record must report for a
+    fuzzed record whose only faults are in its segments, mask geometry from
+    oracles.validate_geometry_oracle."""
+    out, seen = [], set()
+    for i, seg in enumerate(rec.segments):
+        base, b, counts = f"/segments/{i}", seg.bbox, seg.mask.counts
+        if seg.id < 1:
+            out.append((f"{base}/id", "segment id must be >= 1"))
+        if seg.id in seen:
+            out.append((f"{base}/id", f"duplicate segment id {seg.id}"))
+        seen.add(seg.id)
+        if b.x + b.w > rec.width or b.y + b.h > rec.height:
+            out.append((f"{base}/bbox", "box extends past the frame"))
+        if any(c < 0 for c in counts):
+            out.append((f"{base}/mask", "negative run count"))
+            continue
+        if sum(counts) != b.w * b.h:
+            out.append((f"{base}/mask", f"run counts sum to {sum(counts)}, expected {b.w * b.h}"))
+            continue
+        [(area, tight, codes)] = oracles.validate_geometry_oracle(
+            [(b.x, b.y, b.w, b.h, counts, seg.contour)])
+        if seg.area != area:
+            out.append((f"{base}/area", f"area {seg.area} != {area} set mask pixels"))
+        if area == 0:
+            out.append((f"{base}/mask", "mask has no set pixels"))
+        elif not tight:
+            out.append((f"{base}/bbox", "bbox is not tight around the mask"))
+        for j, code in enumerate(codes):
+            if code < 2:
+                message = "contour pixel is interior" if code else "contour pixel not in mask"
+                out.append((f"{base}/contour/{j}", message))
+    out.extend((f"/assignments/{sid}", f"references absent segment id {sid}")
+               for sid in rec.assignments if sid not in seen)
+    return out
 
 
 class TestBoxIou:

@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import shlex
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -249,6 +250,118 @@ def test_validate_rejects_non_json(tmp_path, capsys):
     code, out, err = run(capsys, "validate", "--in", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: /: invalid JSON: ") and err.count("\n") == 1
+
+
+def test_validate_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_bytes(b"[" * 100000)
+    code, out, err = run(capsys, "validate", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: /: invalid JSON: ") and err.count("\n") == 1
+
+
+def _sidecar_doc(width, height, segments):
+    """A sidecar document of `segments`, each (id, [x, y, w, h], area, counts, contour)."""
+    return {
+        "schema_version": 1, "image_id": "a" * 64, "source_path": "", "width": width,
+        "height": height, "assignments": {},
+        "segments": [{"id": sid, "bbox": list(bbox), "area": area,
+                      "mask": {"counts": list(counts)}, "contour": [list(p) for p in contour]}
+                     for sid, bbox, area, counts, contour in segments],
+        "provenance": {"method": "native", "backend_ids": {}, "prompt_hashes": [],
+                       "timestamp": "2026-01-01T00:00:00Z"},
+    }
+
+
+G = 10**9
+# valid masks of up to G x G pixels in a G x G frame, 10.25e18 pixels in all, more than 2**63
+_GIANT_SEGMENTS = [
+    (1, [0, 0, G, G], G * G, [0, G * G], [[0, 0], [G - 1, G - 1], [G - 1, 0]]),
+    (2, [0, 0, G, G], 2, [0, 1, G * G - 2, 1], [[0, 0], [G - 1, G - 1]]),
+    (3, [0, 0, G, G], 2 * G, [0, G, G * G - 2 * G, G], [[5, 0], [5, G - 1]]),
+    (4, [0, 0, G, G], G * G - 1, [1, G * G - 1], [[1, 0], [0, 1], [G - 1, G - 1]]),
+    (5, [G // 2, G // 2, G // 2, G // 2], (G // 2) ** 2, [0, (G // 2) ** 2], [[G // 2, G - 1]]),
+    (6, [0, 0, G, G], G * G, [0, G * G], [[0, 7]]),
+    *[(7 + k, [0, 0, G, G], G * G, [0, G * G], [[G - 1, 3]]) for k in range(5)],
+]
+
+
+def _validate_traced(capsys, path):
+    """`validate` of `path`, with the peak bytes Python and numpy allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "validate", "--in", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out, err, peak
+
+
+def test_validate_giant_boxes_without_decoding_them(tmp_path, capsys):
+    path = tmp_path / "giant.json"
+    path.write_text(json.dumps(_sidecar_doc(G, G, _GIANT_SEGMENTS)))
+    code, out, err, peak = _validate_traced(capsys, path)
+    assert (code, out, err) == (0, "ok\n", "")
+    assert peak < 1 << 20
+
+
+def test_validate_checks_the_contours_of_giant_boxes(tmp_path, capsys):
+    segments = [list(seg) for seg in _GIANT_SEGMENTS]
+    segments[0][4] = segments[0][4] + [[G // 2, 7]]
+    segments[3][4] = segments[3][4] + [[1, 1], [0, 0]]
+    segments[5][4] = segments[5][4] + [[G - 1, G - 2], [7, 1]]
+    segments[10][4] = segments[10][4] + [[3, G - 2]]
+    path = tmp_path / "giant.json"
+    path.write_text(json.dumps(_sidecar_doc(G, G, segments)))
+    code, out, err, peak = _validate_traced(capsys, path)
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "/segments/0/contour/3: contour pixel is interior",
+        "/segments/3/contour/3: contour pixel is interior",
+        "/segments/3/contour/4: contour pixel not in mask",
+        "/segments/5/contour/2: contour pixel is interior",
+        "/segments/10/contour/1: contour pixel is interior",
+    ]
+    assert peak < 1 << 20
+
+
+def test_validate_reports_a_box_past_2_to_the_62(tmp_path, capsys):
+    far = 10**30
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(_sidecar_doc(far, far, [
+        (1, [0, 0, 3, 2], 6, [0, 6], [[0, 0]]),
+        (2, [far - 3, 0, 3, 2], 6, [0, 6], [[far - 3, 0]]),
+    ])))
+    code, out, err = run(capsys, "validate", "--in", str(path))
+    assert (code, out, err) == (2, "/segments/1/bbox: box edge or area past 2**62 pixels\n", "")
+
+
+_SMALL_SEGMENT = (1, [0, 0, 3, 2], 6, [0, 6], [[0, 0], [2, 1]])
+
+
+@pytest.mark.parametrize("value", [2**63, -2**63, 10**30, -10**30])
+@pytest.mark.parametrize("field", ["count", "area", "bbox x", "bbox y", "bbox w", "bbox h",
+                                   "contour x", "contour y"])
+def test_validate_values_past_int64_give_one_line_each(tmp_path, capsys, field, value):
+    doc = _sidecar_doc(32, 32, [_SMALL_SEGMENT])
+    seg = doc["segments"][0]
+    container, key = {
+        "count": (seg["mask"]["counts"], 1), "area": (seg, "area"),
+        "bbox x": (seg["bbox"], 0), "bbox y": (seg["bbox"], 1),
+        "bbox w": (seg["bbox"], 2), "bbox h": (seg["bbox"], 3),
+        "contour x": (seg["contour"][1], 0), "contour y": (seg["contour"][1], 1),
+    }[field]
+    container[key] = value
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", "--in", str(path))
+    assert code == 2
+    if err:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: /segments/0/")
+    else:
+        assert out and all(line.startswith("/segments/0/") for line in out.splitlines())
+    if field.startswith("contour"):
+        assert out == "/segments/0/contour/1: contour pixel not in mask\n"
 
 
 # ------------------------------------------------------------ pipeline
@@ -684,6 +797,19 @@ def test_corpus_reprocesses_sidecars_it_cannot_trust(tmp_path, capsys):
         assert record.image_id == image_id_for((tmp_path / name).read_bytes())
 
 
+
+def test_corpus_reprocesses_sidecars_too_big_or_too_deep_to_read(tmp_path, capsys):
+    manifest = _manifest(tmp_path, ["p1.pgm", "p2.pgm"])
+    m = 10**6
+    (tmp_path / "p1.pgm.segments.json").write_text(json.dumps(
+        _sidecar_doc(m, m, [(1, [0, 0, m, m], m * m, [0, m * m], [[0, 0]])])))
+    (tmp_path / "p2.pgm.segments.json").write_text("[" * 100000)
+    code, out, _ = run(capsys, "pipeline", "--manifest", manifest, "--method", "native",
+                       "--workers", "1")
+    assert code == 0
+    assert "processed=2 failed=0 skipped=0" in out
+
+
 def test_one_validation_per_written_sidecar(tmp_path, capsys, monkeypatch):
     from treatise import catalog, pipeline
 
@@ -871,7 +997,8 @@ def _argv(reader, path, image):
     }[reader]
 
 
-@pytest.mark.parametrize("data", [b"\xff", b"[1,", b"[]"], ids=["not-utf8", "truncated", "list"])
+@pytest.mark.parametrize("data", [b"\xff", b"[1,", b"[]", b"[" * 100000],
+                         ids=["not-utf8", "truncated", "list", "deep"])
 @pytest.mark.parametrize("reader, kind", [
     ("index", "sidecar"), ("enrich", "sidecar"), ("eval --pred", "sidecar"),
     ("overlay", "sidecar"), ("eval --truth", "truth"), ("pipeline", "manifest"),
@@ -886,6 +1013,8 @@ def test_an_unreadable_input_file_is_named(tmp_path, capsys, reader, kind, data)
     code, out, err = run(capsys, *_argv(reader, str(bad), image))
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith(f"error: {kind} {bad}: ")
+    if data.startswith(b"[["):
+        assert "invalid JSON: maximum recursion depth exceeded" in err
 
 
 def _mutate(data: bytes, edits) -> bytes:
