@@ -25,6 +25,7 @@ from .backends import BackendError, resolve_endpoints
 from .catalog import (
     METHODS,
     SidecarValidationError,
+    atomic_write,
     image_id_for,
     load_manifest,
     read_sidecar,
@@ -211,8 +212,8 @@ def _run_corpus(manifest_path, config, glossary, onto, force=False, workers=None
             record = run_pipeline(blob, config, glossary, onto, source_path=path)
             write_sidecar(record, out)
             return "processed", None
-        except Exception as exc:  # per-image isolation: failures never abort the run
-            return "failed", exc
+        except (ValueError, KeyError, OSError, BackendError) as exc:
+            return "failed", exc  # the families main exits 2 or 3 on; others are bugs
 
     counts = {"processed": 0, "failed": 0, "skipped": 0}
     backend_failure = False
@@ -319,9 +320,7 @@ def _cmd_eval(args) -> int:
             "images": [evaluation.report_to_obj(r) for r in reports],
             "aggregate": evaluation.report_to_obj(overall),
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        atomic_write(args.out, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
     return EXIT_OK
 
 
@@ -329,8 +328,7 @@ def _cmd_overlay(args) -> int:
     grid = _read("image", args.infile, decode_pgm)
     record = _read("sidecar", args.sidecar or sidecar_path(args.infile), read_sidecar)
     out_grid = render_overlay(grid, record)
-    with open(args.out, "wb") as fh:
-        fh.write(encode_pgm(out_grid))
+    atomic_write(args.out, encode_pgm(out_grid))
     return EXIT_OK
 
 

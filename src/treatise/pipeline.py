@@ -41,13 +41,12 @@ from .catalog import (
 from .raster import (
     BoundingBox,
     MaskRLE,
-    Segment,
+    SegmentMap,
     decode_pgm,
     extract_segments,
     gradient_magnitude,
     regional_minima_markers,
     rle_decode,
-    segment_from_mask,
     watershed,
 )
 
@@ -252,22 +251,17 @@ def _resolve_label(text: str, glossary: lexicon.Glossary, ontology):
     return None
 
 
-def _segment_from_wire(obj: dict, seg_id: int, width: int, height: int) -> Segment | None:
-    """Tighten a wire segment (bbox + RLE counts) into a Segment value with
-    a traced contour. Returns None for an empty mask."""
-    x, y, w, h = obj["bbox"]
-    if x + w > width or y + h > height:
-        raise WireSchemaError("segment", f"box [{x},{y},{w},{h}] extends past the frame")
-    local = rle_decode(MaskRLE(width=w, height=h, counts=tuple(obj["mask"]["counts"])))
-    return segment_from_mask(seg_id, local, x, y)
-
-
 def _segments_from_wire(resp: dict, width: int, height: int) -> tuple:
+    """Tighten wire segments (bbox + RLE counts) into Segment values with
+    traced contours, numbered from 1 in order; empty masks are dropped."""
     segments = []
     for obj in resp["segments"]:
-        seg = _segment_from_wire(obj, len(segments) + 1, width, height)
-        if seg is not None:
-            segments.append(seg)
+        x, y, w, h = obj["bbox"]
+        if x + w > width or y + h > height:
+            raise WireSchemaError("segment", f"box [{x},{y},{w},{h}] extends past the frame")
+        local = rle_decode(MaskRLE(width=w, height=h, counts=tuple(obj["mask"]["counts"])))
+        # the decoded mask, labelled with the next segment id
+        segments += extract_segments(SegmentMap(local * (len(segments) + 1)), x, y)
     return tuple(segments)
 
 

@@ -9,7 +9,9 @@ The flooding routines are array code with no loop per pixel: plateaus are
 labelled by union-find rooted at each plateau's first pixel in row-major
 order, the h-minima reconstruction sweeps rows and columns to the fixpoint
 of the geodesic erosion, and the watershed runs each synchronous wave as one
-array step over its front.
+array step over its front. Segment extraction sorts the label map's row runs
+and boundary pixels by label and is array code but for one Moore walk per
+region.
 """
 
 from __future__ import annotations
@@ -419,52 +421,36 @@ def rle_decode(rle: MaskRLE) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Segment extraction
 
-def boundary_mask(mask: np.ndarray) -> np.ndarray:
-    """Set pixels with at least one unset-or-out-of-bounds 4-neighbor: the
-    mask AND NOT the 4-neighbor erosion of the zero-padded mask."""
-    hgt, wdt = mask.shape
-    p = np.zeros((hgt + 2, wdt + 2), dtype=bool)
-    p[1:-1, 1:-1] = mask
-    return p[1:-1, 1:-1] & ~(p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:])
+def trace_contour(cells, stride: int, rid: int, starts: list[int]) -> list[int]:
+    """Order the boundary pixels of region rid by clockwise Moore tracing.
 
-
-def trace_contour(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Order the boundary pixels of a mask by clockwise Moore tracing.
-
-    Each closed boundary (outer border, then hole borders) is walked clockwise
-    starting from its topmost-leftmost untraced pixel; pixels are listed once,
-    in first-visit order. The resulting list covers the full boundary set.
-    A walk ends at its first repeated (pixel, backtrack) state or after
-    8 * (untraced boundary pixels + 1) steps, as in `oracles.moore_oracle`.
+    `cells` is a flat label map framed by non-region cells, `stride` its row
+    length, and `starts` the region's 4-boundary cells in row-major order.
+    Each closed boundary (outer border, then hole borders) is walked
+    clockwise starting from its topmost-leftmost untraced pixel; pixels are
+    listed once, in first-visit order, as flat indices, and cover the full
+    boundary set. A walk ends at its first repeated (pixel, backtrack) state
+    or after 8 * (untraced boundary pixels + 1) steps, as in
+    `oracles.moore_oracle`.
     """
-    hgt, wdt = mask.shape
-    stride = wdt + 2
-    padded = np.zeros((hgt + 2, stride), dtype=bool)
-    padded[1:-1, 1:-1] = mask
-    pixels = padded.tobytes()
     ring = [dy * stride + dx for dx, dy in N8_CLOCKWISE]
-    ys, xs = np.nonzero(boundary_mask(mask))
-    # row-major flat indices into the padded mask
-    starts = [(y + 1) * stride + x + 1 for y, x in zip(ys.tolist(), xs.tolist())]
-    seen: set[int] = set()
-    ordered: list[int] = []
+    ordered: dict[int, None] = {}  # insertion-ordered: first visit wins
     for start in starts:
-        if start in seen:
+        if start in ordered:
             continue
         # every walked pixel is a boundary pixel, so the untraced boundary
         # pixels number len(starts) - len(ordered)
         budget = 8 * (len(starts) - len(ordered) + 1)
-        seen.add(start)
-        ordered.append(start)
+        ordered[start] = None
         # initial backtrack: first non-region 4-neighbor, clockwise from north
-        back = next(d for d in (0, 2, 4, 6) if not pixels[start + ring[d]])
+        back = next(d for d in (0, 2, 4, 6) if cells[start + ring[d]] != rid)
         cur = start
         # the walk is deterministic in (pixel, backtrack): once a state
         # repeats it only retraces itself, so it ends there
         states = {start * 8 + back}
         for _ in range(budget):
             for j in _SCANS[back]:
-                if pixels[cur + ring[j]]:
+                if cells[cur + ring[j]] == rid:
                     break
             else:
                 break  # isolated pixel
@@ -476,44 +462,66 @@ def trace_contour(mask: np.ndarray) -> list[tuple[int, int]]:
             states.add(state)
             # a hole walk may pass over pixels the outer walk already
             # listed; list each boundary pixel once, first visit wins
-            if cur not in seen:
-                seen.add(cur)
-                ordered.append(cur)
-    return [(p % stride - 1, p // stride - 1) for p in ordered]
+            ordered.setdefault(cur)
+    return list(ordered)
 
 
-def segment_from_mask(seg_id: int, mask: np.ndarray, x: int = 0, y: int = 0) -> Segment | None:
-    """The Segment covering the set pixels of a boolean mask whose top-left
-    pixel sits at image position (x, y): tight box, box-local RLE mask, area,
-    and contour in image coordinates. None when no pixel is set."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    if not rows.size:
-        return None
-    cols = np.flatnonzero(mask.any(axis=0))
-    y0, y1, x0, x1 = int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1])
-    tight = mask[y0 : y1 + 1, x0 : x1 + 1]
-    bbox = BoundingBox(x + x0, y + y0, x1 - x0 + 1, y1 - y0 + 1)
-    return Segment(
-        id=seg_id,
-        bbox=bbox,
-        mask=rle_encode(tight, bbox.w, bbox.h),
-        area=int(np.count_nonzero(tight)),
-        contour=tuple((px + bbox.x, py + bbox.y) for px, py in trace_contour(tight)),
-    )
-
-
-def extract_segments(segmap: SegmentMap) -> list[Segment]:
-    """Build one Segment per region id (ascending). Line pixels belong to no
-    segment. Masks are stored bbox-local; contours are in image coordinates."""
+def extract_segments(segmap: SegmentMap, x: int = 0, y: int = 0) -> list[Segment]:
+    """Build one Segment per positive region id (ascending) of a label map
+    whose top-left pixel sits at image position (x, y). Line pixels belong
+    to no segment. Masks are stored bbox-local; contours are in image
+    coordinates. The map's row runs and boundary pixels, stably sorted by
+    label, give every box, area and mask in array code; only the Moore walks
+    (`trace_contour`) loop per region."""
     labels = segmap.labels
-    order = np.argsort(labels, axis=None, kind="stable")
-    ids = labels.ravel()[order]
-    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-    rows, cols = np.divmod(order, labels.shape[1])
-    y0s, y1s = np.minimum.reduceat(rows, starts), np.maximum.reduceat(rows, starts)
-    x0s, x1s = np.minimum.reduceat(cols, starts), np.maximum.reduceat(cols, starts)
+    hgt, wdt = labels.shape
+    stride = wdt + 2
+    # the map in a frame of -1, which no region has
+    cells = np.full((hgt + 2, stride), -1, dtype=np.int32)
+    cells[1:-1, 1:-1] = labels
+    # label changes from the left (h x w+1) and from above (h+1 x w)
+    left = cells[1:-1, 1:] != cells[1:-1, :-1]
+    up = cells[1:, 1:-1] != cells[:-1, 1:-1]
+    inside = labels > 0
+    # a boundary pixel has a 4-neighbour with another label or off the map
+    edge = np.zeros(cells.shape, dtype=bool)
+    edge[1:-1, 1:-1] = (left[:, :-1] | left[:, 1:] | up[:-1] | up[1:]) & inside
+    border = np.flatnonzero(edge)
+    cells = cells.ravel()
+    border = border[np.argsort(cells[border], kind="stable")]
+    starts = np.flatnonzero(left[:, :-1] & inside)
+    lengths = np.flatnonzero(left[:, 1:] & inside) - starts + 1
+    ids = labels.ravel()[starts]
+    order = np.argsort(ids, kind="stable")
+    starts, lengths, ids = starts[order], lengths[order], ids[order]
+    first = np.ones(ids.size, dtype=bool)  # first run of its region
+    first[1:] = ids[1:] != ids[:-1]
+    heads = np.flatnonzero(first)
+    g = np.cumsum(first) - 1  # region of each run
+    rows, cols = np.divmod(starts, wdt)
+    y0s, x0s = rows[heads], np.minimum.reduceat(cols, heads)
+    ws = np.maximum.reduceat(cols + lengths, heads) - x0s
+    hs = np.maximum.reduceat(rows, heads) + 1 - y0s
+    # box-local start and end of each run; a run that starts where the one
+    # before it ended (across a box row) continues that mask run
+    begin = (rows - y0s[g]) * ws[g] + (cols - x0s[g])
+    end = begin + lengths
+    gap = begin - np.where(first, 0, np.concatenate(([0], end[:-1])))
+    merged = np.flatnonzero(first | (gap > 0))
+    # counts interleave the zero-run before each one-run with the one-run
+    counts = np.ravel((gap[merged], np.add.reduceat(lengths, merged)), order="F").tolist()
+    runs = np.flatnonzero(first[merged]).tolist() + [merged.size]
+    cuts = np.searchsorted(cells[border], ids[heads]).tolist() + [border.size]
+    border, cells = border.tolist(), memoryview(cells)
+    ox, oy = x - 1, y - 1  # image position of the frame's top-left cell
     out = []
-    for rid, y0, y1, x0, x1 in zip(*(v.tolist() for v in (ids[starts], y0s, y1s, x0s, x1s))):
-        if rid > 0:
-            out.append(segment_from_mask(rid, labels[y0 : y1 + 1, x0 : x1 + 1] == rid, x0, y0))
+    for k, (rid, bx, by, w, h, area, tail) in enumerate(np.array((
+            ids[heads], x0s, y0s, ws, hs, np.add.reduceat(lengths, heads),
+            ws * hs - np.maximum.reduceat(end, heads))).T.tolist()):
+        mask = counts[2 * runs[k] : 2 * runs[k + 1]]
+        if tail:
+            mask.append(tail)
+        walk = trace_contour(cells, stride, rid, border[cuts[k] : cuts[k + 1]])
+        out.append(Segment(rid, BoundingBox(bx + x, by + y, w, h), MaskRLE(w, h, tuple(mask)),
+                           area, tuple([(p % stride + ox, p // stride + oy) for p in walk])))
     return out

@@ -30,3 +30,30 @@ def ship_ontology():
 
 def random_grid(rng: random.Random, w, h, lo=0, hi=9):
     return [[rng.randint(lo, hi) for _ in range(w)] for _ in range(h)]
+
+
+def shaped_mask(rng, w, h):
+    """Rows of a w x h 0/1 mask built from filled boxes with holes punched
+    in them, 1-pixel spurs, and pixel pairs that touch only diagonally."""
+    rows = [[0] * w for _ in range(h)]
+    for _ in range(rng.randint(1, 4)):
+        x0, y0 = rng.randrange(w), rng.randrange(h)
+        x1, y1 = rng.randint(x0, w - 1), rng.randint(y0, h - 1)
+        for y in range(y0, y1 + 1):
+            rows[y][x0 : x1 + 1] = [1] * (x1 - x0 + 1)
+        for _ in range(rng.randint(0, 3)):  # holes
+            rows[rng.randint(y0, y1)][rng.randint(x0, x1)] = 0
+    for _ in range(rng.randint(0, 3)):  # spurs: a 1-wide run in one direction
+        x, y = rng.randrange(w), rng.randrange(h)
+        dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+        for _ in range(rng.randint(1, 4)):
+            if 0 <= x < w and 0 <= y < h:
+                rows[y][x] = 1
+            x, y = x + dx, y + dy
+    for _ in range(rng.randint(0, 3)):  # diagonal-only contacts
+        if w > 1 and h > 1:
+            x, y = rng.randrange(w - 1), rng.randrange(h - 1)
+            flip = rng.random() < 0.5
+            for dx, dy in ((0, 0), (1, 1), (1, 0), (0, 1)):
+                rows[y + dy][x + dx] = int((dx == dy) != flip)
+    return rows

@@ -629,6 +629,31 @@ def test_overlay_explicit_sidecar(tmp_path, capsys):
                "--out", out)[0] == 0
 
 
+@pytest.mark.parametrize("command", ["eval", "overlay"])
+def test_out_file_is_replaced_whole_or_not_at_all(tmp_path, capsys, monkeypatch, command):
+    image = write_image(tmp_path)
+    run(capsys, "segment", "--in", image)
+    pred = human_sidecar(tmp_path, "pred.json", "a" * 64, ["keel"], source="tagger")
+    truth = human_sidecar(tmp_path, "truth.json", "a" * 64, ["keel"])
+    argv = {"eval": ["eval", "--pred", pred, "--truth", truth],
+            "overlay": ["overlay", "--in", image]}[command]
+    out = tmp_path / "out.bin"
+    assert run(capsys, *argv, "--out", str(out))[0] == 0
+    if command == "eval":
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    out.write_bytes(b"old")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2 and "disk full" in err
+    assert out.read_bytes() == b"old"
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
 # ------------------------------------------------------------ config file
 
 def test_default_config_is_picked_up_from_cwd(tmp_path, capsys, server):
@@ -858,6 +883,20 @@ def test_corpus_isolates_per_image_failures(tmp_path, capsys):
     assert code == 2
     assert "processed=1 failed=1 skipped=0" in out
     assert "p2.pgm" in err
+
+
+def test_corpus_lets_a_programming_error_escape(tmp_path, capsys, monkeypatch):
+    # per-image isolation covers the data and backend error families that
+    # main maps to exits 2 and 3; a TypeError is a bug, not a failed image
+    from treatise import cli
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(cli, "run_pipeline", broken)
+    manifest = _manifest(tmp_path, ["p1.pgm", "p2.pgm"])
+    with pytest.raises(TypeError, match="bug"):
+        main(["pipeline", "--manifest", manifest, "--method", "native", "--workers", "1"])
 
 
 def test_corpus_backend_failures_exit_3(tmp_path, capsys):

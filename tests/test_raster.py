@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_pgm, random_grid
+from conftest import make_pgm, random_grid, shaped_mask
 from treatise import raster
 from treatise.raster import (
     BoundingBox,
@@ -16,7 +16,6 @@ from treatise.raster import (
     PgmError,
     RleError,
     SegmentMap,
-    boundary_mask,
     decode_pgm,
     encode_pgm,
     extract_segments,
@@ -24,7 +23,6 @@ from treatise.raster import (
     regional_minima_markers,
     rle_decode,
     rle_encode,
-    trace_contour,
     watershed,
 )
 
@@ -54,39 +52,17 @@ def serpentine(w, h, corridor, wall):
              for x in range(w)] for y in range(h)]
 
 
-def shaped_mask(rng, w, h):
-    """Rows of a w x h 0/1 mask built from filled boxes with holes punched
-    in them, 1-pixel spurs, and pixel pairs that touch only diagonally."""
-    rows = [[0] * w for _ in range(h)]
-    for _ in range(rng.randint(1, 4)):
-        x0, y0 = rng.randrange(w), rng.randrange(h)
-        x1, y1 = rng.randint(x0, w - 1), rng.randint(y0, h - 1)
-        for y in range(y0, y1 + 1):
-            rows[y][x0 : x1 + 1] = [1] * (x1 - x0 + 1)
-        for _ in range(rng.randint(0, 3)):  # holes
-            rows[rng.randint(y0, y1)][rng.randint(x0, x1)] = 0
-    for _ in range(rng.randint(0, 3)):  # spurs: a 1-wide run in one direction
-        x, y = rng.randrange(w), rng.randrange(h)
-        dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
-        for _ in range(rng.randint(1, 4)):
-            if 0 <= x < w and 0 <= y < h:
-                rows[y][x] = 1
-            x, y = x + dx, y + dy
-    for _ in range(rng.randint(0, 3)):  # diagonal-only contacts
-        if w > 1 and h > 1:
-            x, y = rng.randrange(w - 1), rng.randrange(h - 1)
-            flip = rng.random() < 0.5
-            for dx, dy in ((0, 0), (1, 1), (1, 0), (0, 1)):
-                rows[y + dy][x + dx] = int((dx == dy) != flip)
-    return rows
-
-
 def transposed(rows):
     return [list(col) for col in zip(*rows)]
 
 
 def rows_grid(rows):
     return ImageGrid(np.asarray(rows, dtype=np.uint8))
+
+
+def contour_of(mask):
+    """The contour of the one region a 0/1 mask makes, in mask coordinates."""
+    return list(extract_segments(SegmentMap(mask))[0].contour)
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +402,11 @@ class TestRle:
 class TestContour:
     def test_single_pixel(self):
         mask = np.asarray([[True]])
-        assert trace_contour(mask) == [(0, 0)]
+        assert contour_of(mask) == [(0, 0)]
 
     def test_full_rect_clockwise_start_topleft(self):
         mask = np.ones((3, 4), dtype=bool)
-        contour = trace_contour(mask)
+        contour = contour_of(mask)
         assert contour[0] == (0, 0)
         # clockwise: the walk leaves eastward along the top row
         assert contour[1] == (1, 0)
@@ -438,12 +414,12 @@ class TestContour:
 
     def test_row_mask(self):
         mask = np.ones((1, 5), dtype=bool)
-        assert trace_contour(mask) == [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
+        assert contour_of(mask) == [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
 
     def test_hole_boundary_included(self):
         mask = np.ones((5, 5), dtype=bool)
         mask[2, 2] = False
-        contour = trace_contour(mask)
+        contour = contour_of(mask)
         assert set(contour) == oracles.boundary_oracle(mask.tolist())
         assert len(contour) == len(set(contour))
 
@@ -452,11 +428,9 @@ class TestContour:
     def test_contour_set_equals_boundary_scan(self, rows):
         mask = np.asarray(rows, dtype=bool)
         expect = oracles.boundary_oracle([[int(v) for v in r] for r in rows])
-        ys, xs = np.nonzero(boundary_mask(mask))
-        assert set(zip(xs.tolist(), ys.tolist())) == expect
         if not mask.any():
             return
-        contour = trace_contour(mask)
+        contour = contour_of(mask)
         assert set(contour) == expect
         assert len(contour) == len(set(contour))
         assert contour == oracles.moore_oracle(rows)
@@ -466,7 +440,7 @@ class TestContour:
         for _ in range(2000):
             rows = shaped_mask(rng, rng.randint(1, 12), rng.randint(1, 12))
             if any(map(any, rows)):
-                assert trace_contour(np.asarray(rows, dtype=bool)) == oracles.moore_oracle(rows)
+                assert contour_of(np.asarray(rows, dtype=bool)) == oracles.moore_oracle(rows)
 
     @pytest.mark.parametrize("side, bumps", [
         (23, ((1, 11), (21, 2), (11, 21))),
@@ -481,7 +455,7 @@ class TestContour:
                 for y in range(side)]
         for y, x in bumps:
             rows[y][x] = True
-        contour = trace_contour(np.asarray(rows))
+        contour = contour_of(np.asarray(rows))
         assert contour == oracles.moore_oracle(rows)
         if side == 23:  # a walk without the budget lists (2, 21) first
             assert contour.index((21, 11)) < contour.index((2, 21))
@@ -540,16 +514,6 @@ class TestBoundingBox:
     def test_fits(self):
         assert BoundingBox(1, 1, 2, 2).fits(3, 3)
         assert not BoundingBox(1, 1, 3, 2).fits(3, 3)
-
-
-def test_boundary_pixels_matches_oracle():
-    rng = random.Random(17)
-    for _ in range(50):
-        w, h = rng.randint(1, 8), rng.randint(1, 8)
-        rows = [[rng.random() < 0.5 for _ in range(w)] for _ in range(h)]
-        ys, xs = np.nonzero(boundary_mask(np.asarray(rows, dtype=bool)))
-        assert set(zip(xs.tolist(), ys.tolist())) == oracles.boundary_oracle(
-            [[int(v) for v in r] for r in rows])
 
 
 def test_make_pgm_helper_is_valid():
