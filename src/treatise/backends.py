@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import http.client
 import os
 import threading
 import time
+import urllib.request
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
-import requests
-
+from . import parse_json
 from .catalog import canonical_json_bytes
 
 STAGES = ("segment", "caption", "tag", "ground", "define")
+ATTEMPTS = 3
+MAX_BODY_BYTES = 64 << 20  # bound on a body in either direction; base64 pages are far smaller
 
 _ENV_VARS = {stage: f"TREATISE_{stage.upper()}_URL" for stage in STAGES}
 
@@ -52,6 +56,28 @@ def resolve_endpoints(configured: dict | None = None, environ=None) -> dict:
         if url:
             out[stage] = url
     return out
+
+
+def check_endpoint(stage: str, url):
+    """`url`, or ValueError unless it is http or https, with a host and a port that parses."""
+    try:
+        parts = urlsplit(url if isinstance(url, str) else "")
+        if parts.scheme in ("http", "https") and parts.hostname and (parts.port or 0) >= 0:
+            return url
+    except ValueError:  # a port outside 0..65535, or a malformed IPv6 host
+        pass
+    raise ValueError(f"endpoint {stage} URL {url!r} is not valid")
+
+
+def _post(url: str, body: bytes, timeout: float) -> tuple[int, bytes]:
+    """Status of the reply to POSTing JSON `body`, and at most MAX_BODY_BYTES + 1 of its bytes."""
+    request = urllib.request.Request(url, body, {"Content-Type": "application/json"})
+    try:
+        reply = urllib.request.urlopen(request, timeout=timeout)
+    except urllib.request.HTTPError as err:
+        reply = err
+    with reply:
+        return reply.status, reply.read(MAX_BODY_BYTES + 1)
 
 
 def _is_num(v) -> bool:
@@ -129,18 +155,16 @@ _VALIDATORS = {
 class BackendClient:
     """Thin POST client with bounded retries and a call log.
 
-    Transport failures and 5xx responses are retried (`retries` attempts,
-    exponential backoff starting at `backoff` seconds); error responses
-    below 500 are deterministic and fail immediately.
+    Transport failures and 5xx responses are retried (ATTEMPTS attempts,
+    exponential backoff starting at `backoff` seconds); other error
+    responses and replies over MAX_BODY_BYTES fail immediately.
     """
 
-    def __init__(self, endpoints: dict, timeout: float = 10.0,
-                 retries: int = 3, backoff: float = 0.1, session=None):
-        self.endpoints = dict(endpoints)
+    def __init__(self, endpoints: dict, timeout: float = 10.0, backoff: float = 0.1, post=_post):
+        self.endpoints = {stage: check_endpoint(stage, url) for stage, url in endpoints.items()}
         self.timeout = timeout
-        self.retries = max(1, int(retries))
         self.backoff = backoff
-        self._session = session or requests.Session()
+        self._post = post
         self._lock = threading.Lock()
         self.calls: list[BackendCall] = []
 
@@ -154,39 +178,35 @@ class BackendClient:
         digest = hashlib.sha256(body).hexdigest()
         with self._lock:
             self.calls.append(BackendCall(stage=stage, url=url, request_sha256=digest))
-        last = "unreachable"
-        for attempt in range(self.retries):
+        for attempt in range(ATTEMPTS):
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             try:
-                resp = self._session.post(
-                    url, data=body, timeout=self.timeout,
-                    headers={"Content-Type": "application/json"},
-                )
-            except requests.RequestException as exc:
+                status, data = self._post(url, body, self.timeout)
+            except (OSError, http.client.HTTPException) as exc:
                 last = str(exc) or type(exc).__name__
                 continue
-            if resp.status_code >= 500:
-                last = f"HTTP {resp.status_code}"
+            if status >= 500:
+                last = f"HTTP {status}"
                 continue
-            if resp.status_code != 200:
-                try:
-                    detail = resp.json().get("error", "")
-                except ValueError:
-                    detail = ""
-                raise BackendError(stage, f"HTTP {resp.status_code}: {detail or 'error'}")
+            if len(data) > MAX_BODY_BYTES:
+                raise BackendError(stage, f"HTTP {status}: reply over {MAX_BODY_BYTES} bytes")
             try:
-                obj = resp.json()
-            except ValueError:
-                raise WireSchemaError(stage, "response is not JSON") from None
+                obj, problem = parse_json(data), None
+            except ValueError as exc:
+                obj, problem = None, str(exc)
+            if status != 200:
+                detail = obj.get("error") if isinstance(obj, dict) else None
+                detail = detail if isinstance(detail, str) and detail else "error"
+                raise BackendError(stage, f"HTTP {status}: {detail}")
             if not isinstance(obj, dict):
-                raise WireSchemaError(stage, "response must be a JSON object")
+                raise WireSchemaError(stage, problem or "response must be a JSON object")
             try:
                 _VALIDATORS[stage](obj)
             except ValueError as exc:
                 raise WireSchemaError(stage, str(exc)) from None
             return obj
-        raise BackendError(stage, f"gave up after {self.retries} attempts ({last})")
+        raise BackendError(stage, f"gave up after {ATTEMPTS} attempts ({last})")
 
     # stage wrappers
 

@@ -18,10 +18,9 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from urllib.parse import urlsplit
 
 from . import evaluation, lexicon, ontology, parse_json, retrieval
-from .backends import BackendError, resolve_endpoints
+from .backends import BackendError, check_endpoint, resolve_endpoints
 from .catalog import (
     METHODS,
     SidecarValidationError,
@@ -110,9 +109,7 @@ def _parse_config(data: bytes) -> dict:
         if key in cfg and not os.path.exists(cfg[key]):
             raise ValueError(f"{key} file {cfg[key]!r} does not exist")
     for stage, url in cfg.get("endpoints", {}).items():
-        parts = urlsplit(url) if isinstance(url, str) else None
-        if parts is None or parts.scheme not in ("http", "https") or not parts.netloc:
-            raise ValueError(f"endpoint {stage} URL {url!r} is not valid")
+        check_endpoint(stage, url)
     return cfg
 
 

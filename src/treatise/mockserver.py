@@ -19,12 +19,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from . import parse_json
-from .backends import STAGES
+from .backends import MAX_BODY_BYTES, STAGES
 from .catalog import canonical_json_bytes
 from .raster import PgmError, decode_pgm
 
 FALLBACK_CAPTION = "a page from a treatise"
-MAX_BODY_BYTES = 64 << 20  # larger bodies get 413 unread; base64 pages are far smaller
 _QUOTED = re.compile(r'"([^"]*)"')
 
 

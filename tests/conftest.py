@@ -1,4 +1,7 @@
+import contextlib
 import random
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -11,6 +14,41 @@ def make_pgm(rows):
     w = len(rows[0])
     body = bytes(v for row in rows for v in row)
     return f"P5\n{w} {h}\n255\n".encode() + body
+
+
+class _ReplyHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        self.server.hits.append(self.path)
+        status, body = self.server.reply
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@contextlib.contextmanager
+def reply_server(status, body):
+    """A local HTTP server that answers every POST with `status` and the bytes
+    `body`; yields its base URL and the list of request paths it served."""
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _ReplyHandler)
+    httpd.reply, httpd.hits = (status, body), []
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_address[1]}", httpd.hits
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,9 @@ import socket
 import time
 
 import pytest
-import requests
 
-from conftest import make_pgm
+from conftest import make_pgm, reply_server
+from treatise import backends
 from treatise.backends import (
     STAGES,
     BackendCall,
@@ -26,36 +26,27 @@ from treatise.mockserver import (
 )
 
 
-class FakeResponse:
-    def __init__(self, status_code, body):
-        self.status_code = status_code
-        self._body = body
-
-    def json(self):
-        if isinstance(self._body, (dict, list)):
-            return self._body
-        return json.loads(self._body)
-
-
-class FakeSession:
-    """Scripted transport: each element is an exception or a FakeResponse."""
+class ScriptedPost:
+    """Scripted transport: each element is an exception to raise or a
+    (status, body) reply; a body that is not bytes is sent as its JSON."""
 
     def __init__(self, script):
         self.script = list(script)
         self.requests = []
 
-    def post(self, url, data=None, timeout=None, headers=None):
-        self.requests.append((url, data))
+    def __call__(self, url, body, timeout):
+        self.requests.append((url, body))
         item = self.script.pop(0)
         if isinstance(item, Exception):
             raise item
-        return item
+        status, reply = item
+        return status, reply if isinstance(reply, bytes) else json.dumps(reply).encode()
 
 
 def client_with(script, **kw):
-    session = FakeSession(script)
+    post = ScriptedPost(script)
     endpoints = {s: f"http://test/v1/{s}" for s in STAGES}
-    return BackendClient(endpoints, session=session, backoff=0.0, **kw), session
+    return BackendClient(endpoints, post=post, backoff=0.0, **kw), post
 
 
 class TestResolveEndpoints:
@@ -72,7 +63,7 @@ class TestResolveEndpoints:
 
 class TestClient:
     def test_success_logs_call(self):
-        cli, session = client_with([FakeResponse(200, {"caption": "x"})])
+        cli, post = client_with([(200, {"caption": "x"})])
         out = cli.caption(b"img")
         assert out == {"caption": "x"}
         assert len(cli.calls) == 1
@@ -81,58 +72,58 @@ class TestClient:
         body = canonical_json_bytes(
             {"image_b64": base64.b64encode(b"img").decode()})
         assert call.request_sha256 == hashlib.sha256(body).hexdigest()
-        assert session.requests[0][1] == body
+        assert post.requests[0][1] == body
 
     def test_retries_transport_then_succeeds(self):
-        cli, session = client_with([
-            requests.ConnectionError("down"),
-            requests.ConnectionError("down"),
-            FakeResponse(200, {"caption": "x"}),
+        cli, post = client_with([
+            ConnectionError("down"),
+            ConnectionError("down"),
+            (200, {"caption": "x"}),
         ])
         assert cli.caption(b"i")["caption"] == "x"
-        assert len(session.requests) == 3
+        assert len(post.requests) == 3
         assert len(cli.calls) == 1  # one logical call
 
     def test_retries_5xx(self):
         cli, _ = client_with([
-            FakeResponse(503, {"error": "busy"}),
-            FakeResponse(200, {"caption": "x"}),
+            (503, {"error": "busy"}),
+            (200, {"caption": "x"}),
         ])
         assert cli.caption(b"i")["caption"] == "x"
 
     def test_gives_up_after_three_attempts(self):
-        cli, session = client_with([requests.ConnectionError("down")] * 5)
+        cli, post = client_with([ConnectionError("down")] * 5)
         with pytest.raises(BackendError) as err:
             cli.caption(b"i")
-        assert len(session.requests) == 3
+        assert len(post.requests) == 3
         assert "gave up" in str(err.value)
 
     def test_4xx_fails_immediately(self):
-        cli, session = client_with([FakeResponse(400, {"error": "bad image"})])
+        cli, post = client_with([(400, {"error": "bad image"})])
         with pytest.raises(BackendError) as err:
             cli.caption(b"i")
-        assert len(session.requests) == 1
+        assert len(post.requests) == 1
         assert "bad image" in str(err.value)
         assert not isinstance(err.value, WireSchemaError)
 
     def test_non_json_200_is_schema_error(self):
-        cli, _ = client_with([FakeResponse(200, "<html>")])
+        cli, _ = client_with([(200, b"<html>")])
         with pytest.raises(WireSchemaError):
             cli.caption(b"i")
 
     def test_schema_violation(self):
-        cli, _ = client_with([FakeResponse(200, {"tags": [{"text": ""}]})])
+        cli, _ = client_with([(200, {"tags": [{"text": ""}]})])
         with pytest.raises(WireSchemaError):
             cli.tag(b"i", vocabulary=["keel"])
 
     def test_segment_counts_must_fill_box(self):
         bad = {"segments": [{"bbox": [0, 0, 2, 2], "mask": {"counts": [0, 3]}}]}
-        cli, _ = client_with([FakeResponse(200, bad)])
+        cli, _ = client_with([(200, bad)])
         with pytest.raises(WireSchemaError):
             cli.segment(b"i")
 
     def test_missing_endpoint(self):
-        cli = BackendClient({}, session=FakeSession([]))
+        cli = BackendClient({}, post=ScriptedPost([]))
         with pytest.raises(BackendError):
             cli.caption(b"i")
 
@@ -144,12 +135,53 @@ class TestClient:
     def test_backoff_doubles(self, monkeypatch):
         sleeps = []
         monkeypatch.setattr("treatise.backends.time.sleep", sleeps.append)
-        session = FakeSession([requests.ConnectionError("x")] * 3)
+        post = ScriptedPost([ConnectionError("x")] * 3)
         cli = BackendClient({"caption": "http://t/v1/caption"},
-                            session=session, backoff=0.1)
+                            post=post, backoff=0.1)
         with pytest.raises(BackendError):
             cli.caption(b"i")
         assert sleeps == [0.1, 0.2]
+
+    def test_nested_reply_is_schema_error(self):
+        cli, post = client_with([(200, b"[" * 100000)])
+        with pytest.raises(WireSchemaError) as err:
+            cli.caption(b"i")
+        assert "invalid JSON" in str(err.value)
+        assert len(post.requests) == 1
+
+    @pytest.mark.parametrize("reply", [b"[1]", b'"x"', b"<html>", b'{"error": 5}'])
+    def test_error_reply_without_error_string(self, reply):
+        cli, post = client_with([(400, reply)])
+        with pytest.raises(BackendError) as err:
+            cli.caption(b"i")
+        assert str(err.value) == "caption: HTTP 400: error"
+        assert not isinstance(err.value, WireSchemaError)
+        assert len(post.requests) == 1
+
+    @pytest.mark.parametrize("url", ["notaurl", "ftp://x/v1/segment",
+                                     "file:///etc/hostname", "http://h:99999/v1/segment"])
+    def test_bad_endpoint_url_is_refused(self, url):
+        with pytest.raises(ValueError, match="endpoint segment URL"):
+            BackendClient({"segment": url})
+
+    def test_oversized_reply_is_cut_and_fails(self, monkeypatch):
+        monkeypatch.setattr(backends, "MAX_BODY_BYTES", 1024)
+        returned = []
+
+        def post(url, body, timeout):
+            status, data = backends._post(url, body, timeout)
+            returned.append(len(data))
+            return status, data
+
+        reply = canonical_json_bytes({"caption": "x" * 2040})
+        assert len(reply) > 2048
+        with reply_server(200, reply) as (base, hits):
+            cli = BackendClient({"caption": f"{base}/v1/caption"}, post=post)
+            with pytest.raises(BackendError) as err:
+                cli.caption(b"i")
+        assert "reply over 1024 bytes" in str(err.value)
+        assert not isinstance(err.value, WireSchemaError)
+        assert returned == [1025] and len(hits) == 1
 
 
 class TestMockResponses:

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_pgm
+from conftest import make_pgm, reply_server
+from treatise import backends
 from treatise.catalog import (
     ImageRecord,
     LabelAssignment,
@@ -414,6 +415,47 @@ def test_pipeline_env_var_overrides_config(tmp_path, capsys, config_path,
     code, _, _ = run(capsys, "pipeline", "--config", config_path,
                      "--in", image, "--method", "m1")
     assert code == 3
+
+
+# a reply nested past the decoder's recursion, error replies that are no JSON
+# object, and a reply over the body bound (cut to 1 KiB here)
+HOSTILE_REPLIES = [(200, b"[" * 100000, None), (400, b"[1]", None), (400, b'"x"', None),
+                   (200, json.dumps({"caption": "x" * 2048}).encode(), 1024)]
+
+
+@pytest.mark.parametrize("status,body,bound", HOSTILE_REPLIES,
+                         ids=["nested", "list", "string", "oversized"])
+def test_pipeline_hostile_reply_exits_3(tmp_path, capsys, monkeypatch, status, body, bound):
+    if bound is not None:
+        monkeypatch.setattr(backends, "MAX_BODY_BYTES", bound)
+    image = write_image(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    with reply_server(status, body) as (base, hits):
+        cfg.write_text(json.dumps({"endpoints": {s: f"{base}/v1/{s}" for s in backends.STAGES}}))
+        code, _, err = run(capsys, "pipeline", "--config", str(cfg),
+                           "--in", image, "--method", "m1")
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert len(hits) == 1  # not retried
+
+
+@pytest.mark.parametrize("url", ["notaurl", "ftp://x/v1/segment", "file:///etc/hostname",
+                                 "http://h:99999/v1/segment"])
+def test_bad_endpoint_url_exits_2_before_any_request(tmp_path, capsys, monkeypatch, url):
+    image = write_image(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    argv = ("pipeline", "--config", str(cfg), "--in", image, "--method", "m1")
+    with reply_server(200, b"{}") as (base, hits):
+        good = {s: f"{base}/v1/{s}" for s in backends.STAGES}
+        cfg.write_text(json.dumps({"endpoints": {**good, "segment": url}}))
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (2, f"error: config {cfg}: endpoint segment URL {url!r} "
+                                  "is not valid\n")
+        cfg.write_text(json.dumps({"endpoints": good}))
+        monkeypatch.setenv("TREATISE_SEGMENT_URL", url)
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (2, f"error: endpoint segment URL {url!r} is not valid\n")
+    assert hits == []
 
 
 # ------------------------------------------------------------ vocab
