@@ -61,19 +61,32 @@ def resolve_endpoints(configured: dict | None = None, environ=None) -> dict:
 def check_endpoint(stage: str, url):
     """`url`, or ValueError unless it is http or https, with a host and a port that parses."""
     try:
-        parts = urlsplit(url if isinstance(url, str) else "")
-        if parts.scheme in ("http", "https") and parts.hostname and (parts.port or 0) >= 0:
+        parts = urlsplit(url)
+        parts.port  # raises ValueError for a port outside 0..65535
+        if parts.scheme in ("http", "https") and parts.hostname:
             return url
-    except ValueError:  # a port outside 0..65535, or a malformed IPv6 host
+    except (TypeError, AttributeError, ValueError):  # not a string, a bad port or IPv6 host
         pass
     raise ValueError(f"endpoint {stage} URL {url!r} is not valid")
+
+
+class _HttpRedirect(urllib.request.HTTPRedirectHandler):
+    """Follows a redirect only to http or https; any other target ends as its 30x status."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        if urlsplit(newurl).scheme in ("http", "https"):
+            return super().redirect_request(req, fp, code, msg, headers, newurl)
+        return None
+
+
+_OPENER = urllib.request.build_opener(_HttpRedirect)
 
 
 def _post(url: str, body: bytes, timeout: float) -> tuple[int, bytes]:
     """Status of the reply to POSTing JSON `body`, and at most MAX_BODY_BYTES + 1 of its bytes."""
     request = urllib.request.Request(url, body, {"Content-Type": "application/json"})
     try:
-        reply = urllib.request.urlopen(request, timeout=timeout)
+        reply = _OPENER.open(request, timeout=timeout)
     except urllib.request.HTTPError as err:
         reply = err
     with reply:
@@ -192,15 +205,17 @@ class BackendClient:
             if len(data) > MAX_BODY_BYTES:
                 raise BackendError(stage, f"HTTP {status}: reply over {MAX_BODY_BYTES} bytes")
             try:
-                obj, problem = parse_json(data), None
+                obj = parse_json(data)
             except ValueError as exc:
-                obj, problem = None, str(exc)
+                if status == 200:
+                    raise WireSchemaError(stage, str(exc)) from None
+                obj = None
             if status != 200:
                 detail = obj.get("error") if isinstance(obj, dict) else None
                 detail = detail if isinstance(detail, str) and detail else "error"
                 raise BackendError(stage, f"HTTP {status}: {detail}")
             if not isinstance(obj, dict):
-                raise WireSchemaError(stage, problem or "response must be a JSON object")
+                raise WireSchemaError(stage, "response must be a JSON object")
             try:
                 _VALIDATORS[stage](obj)
             except ValueError as exc:

@@ -195,6 +195,9 @@ def _cmd_pipeline(args) -> int:
 
 
 def _run_corpus(manifest_path, config, glossary, onto, force=False, workers=None) -> int:
+    if config.method != "native":  # a bad endpoint URL is one error, not one per image
+        for stage, url in resolve_endpoints(config.endpoints).items():
+            check_endpoint(stage, url)
     manifest = _read("manifest", manifest_path, load_manifest)
     base = os.path.dirname(os.path.abspath(manifest_path))
     images = [os.path.join(base, rel)

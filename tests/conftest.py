@@ -23,9 +23,11 @@ class _ReplyHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         self.rfile.read(int(self.headers.get("Content-Length") or 0))
         self.server.hits.append(self.path)
-        status, body = self.server.reply
+        status, body, headers = self.server.reply
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -35,11 +37,12 @@ class _ReplyHandler(BaseHTTPRequestHandler):
 
 
 @contextlib.contextmanager
-def reply_server(status, body):
-    """A local HTTP server that answers every POST with `status` and the bytes
-    `body`; yields its base URL and the list of request paths it served."""
+def reply_server(status, body, headers=None):
+    """A local HTTP server that answers every POST with `status`, the bytes
+    `body` and any extra `headers`; yields its base URL and the list of
+    request paths it served."""
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), _ReplyHandler)
-    httpd.reply, httpd.hits = (status, body), []
+    httpd.reply, httpd.hits = (status, body, headers or {}), []
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
                               daemon=True)
     thread.start()

@@ -418,19 +418,23 @@ def test_pipeline_env_var_overrides_config(tmp_path, capsys, config_path,
 
 
 # a reply nested past the decoder's recursion, error replies that are no JSON
-# object, and a reply over the body bound (cut to 1 KiB here)
-HOSTILE_REPLIES = [(200, b"[" * 100000, None), (400, b"[1]", None), (400, b'"x"', None),
-                   (200, json.dumps({"caption": "x" * 2048}).encode(), 1024)]
+# object, a reply over the body bound (cut to 1 KiB here), and a redirect off
+# http that must not be followed
+HOSTILE_REPLIES = [(200, b"[" * 100000, None, None), (400, b"[1]", None, None),
+                   (400, b'"x"', None, None),
+                   (200, json.dumps({"caption": "x" * 2048}).encode(), 1024, None),
+                   (302, b"", None, {"Location": "ftp://127.0.0.1:9/x"})]
 
 
-@pytest.mark.parametrize("status,body,bound", HOSTILE_REPLIES,
-                         ids=["nested", "list", "string", "oversized"])
-def test_pipeline_hostile_reply_exits_3(tmp_path, capsys, monkeypatch, status, body, bound):
+@pytest.mark.parametrize("status,body,bound,headers", HOSTILE_REPLIES,
+                         ids=["nested", "list", "string", "oversized", "redirect-ftp"])
+def test_pipeline_hostile_reply_exits_3(tmp_path, capsys, monkeypatch, status, body, bound,
+                                        headers):
     if bound is not None:
         monkeypatch.setattr(backends, "MAX_BODY_BYTES", bound)
     image = write_image(tmp_path)
     cfg = tmp_path / "cfg.json"
-    with reply_server(status, body) as (base, hits):
+    with reply_server(status, body, headers) as (base, hits):
         cfg.write_text(json.dumps({"endpoints": {s: f"{base}/v1/{s}" for s in backends.STAGES}}))
         code, _, err = run(capsys, "pipeline", "--config", str(cfg),
                            "--in", image, "--method", "m1")
@@ -456,6 +460,15 @@ def test_bad_endpoint_url_exits_2_before_any_request(tmp_path, capsys, monkeypat
         code, _, err = run(capsys, *argv)
         assert (code, err) == (2, f"error: endpoint segment URL {url!r} is not valid\n")
     assert hits == []
+
+
+
+def test_corpus_bad_endpoint_url_is_one_error(tmp_path, capsys, monkeypatch):
+    manifest = _manifest(tmp_path, ["p1.pgm", "p2.pgm", "p3.pgm"])
+    monkeypatch.setenv("TREATISE_SEGMENT_URL", "notaurl")
+    code, out, err = run(capsys, "pipeline", "--manifest", manifest, "--method", "m1")
+    assert (code, out, err) == (2, "", "error: endpoint segment URL 'notaurl' is not valid\n")
+    assert run(capsys, "pipeline", "--manifest", manifest, "--method", "native")[0] == 0
 
 
 # ------------------------------------------------------------ vocab
