@@ -6,12 +6,13 @@ arrays; coordinates are (x, y) with x = column, y = row, origin top-left.
 Connectivity is 4-connected throughout (regions, plateaus, contours).
 
 The flooding routines are array code with no loop per pixel: plateaus are
-labelled by union-find rooted at each plateau's first pixel in row-major
-order, the h-minima reconstruction sweeps rows and columns to the fixpoint
-of the geodesic erosion, and the watershed runs each synchronous wave as one
-array step over its front. Segment extraction sorts the label map's row runs
-and boundary pixels by label and is array code but for one Moore walk per
-region.
+labelled by union-find over row runs, rooted at each plateau's first run in
+row-major order; the h-minima reconstruction sweeps rows and columns of int16
+levels to the fixpoint of the geodesic erosion, two in-place ufuncs per row;
+the gradient is an integer Sobel; and the watershed runs each synchronous
+wave as one array step over its front, deduplicated without sorting.
+Segment extraction sorts the label map's row runs and boundary pixels by
+label and is array code but for one Moore walk per region.
 """
 
 from __future__ import annotations
@@ -220,10 +221,9 @@ def decode_pgm(data: bytes) -> ImageGrid:
         raise PgmHeaderError("not a binary P5 graymap")
     tokens, offset = _read_pgm_tokens(data[2:], 3)
     offset += 2
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise PgmHeaderError("non-numeric header field") from None
+    if not all(t.isdigit() for t in tokens):
+        raise PgmHeaderError("non-numeric header field")
+    width, height, maxval = (int(t) for t in tokens)
     if width < 1 or height < 1:
         raise PgmHeaderError("dimensions must be positive")
     if maxval > 255 or maxval < 1:
@@ -253,18 +253,22 @@ def gradient_magnitude(grid: ImageGrid) -> ImageGrid:
     (divide by 4), rounded half-up and clamped to [0, 255]. Borders are
     computed with edge replication, so on a single-row image the result equals
     the 1-D central difference applied per row."""
-    f = np.pad(grid.pixels.astype(np.float64), 1, mode="edge")
-    gx = (
-        (f[:-2, 2:] + 2.0 * f[1:-1, 2:] + f[2:, 2:])
-        - (f[:-2, :-2] + 2.0 * f[1:-1, :-2] + f[2:, :-2])
-    ) / 4.0
-    gy = (
-        (f[2:, :-2] + 2.0 * f[2:, 1:-1] + f[2:, 2:])
-        - (f[:-2, :-2] + 2.0 * f[:-2, 1:-1] + f[:-2, 2:])
-    ) / 4.0
-    mag = np.hypot(gx, gy)
-    out = np.minimum(np.floor(mag + 0.5), 255.0)
-    return ImageGrid(out.astype(np.uint8))
+    f = np.pad(grid.pixels, 1, mode="edge").astype(np.int16)
+    # separable kernels: gx differences the column-smoothed frame along x,
+    # gy the row-smoothed frame along y
+    col = f[:-2] + 2 * f[1:-1] + f[2:]
+    row = f[:, :-2] + 2 * f[:, 1:-1] + f[:, 2:]
+    return ImageGrid(_sobel_magnitude(col[:, 2:] - col[:, :-2], row[2:] - row[:-2]))
+
+
+def _sobel_magnitude(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Magnitude of the Sobel responses (gx, gy) / 4, rounded half-up and
+    clamped at 255, from 4 * gx and 4 * gy as exact ints in [-1020, 1020]."""
+    # float32 rounds alike: the root of an integer is either exactly a
+    # half-way point 4k + 2 or farther from it than float32's error
+    square = np.square(gx, dtype=np.int32) + np.square(gy, dtype=np.int32)
+    mag = np.sqrt(square, dtype=np.float32)
+    return np.minimum((mag + 2) // 4, 255).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +276,27 @@ def gradient_magnitude(grid: ImageGrid) -> ImageGrid:
 
 def suppress_shallow_minima(f: np.ndarray, h: int) -> np.ndarray:
     """h-minima transform: reconstruction by erosion of f + h over f. Minima
-    whose depth relative to their lowest saddle is below h disappear.
+    whose depth relative to their lowest saddle is below h disappear. f holds
+    8-bit levels (0..255) and 0 <= h <= 256, so f + h fits the int16 result.
 
     Forward and backward sweeps, along rows and then along columns, set
     g[i] = max(f[i], min(g[i], g[i -/+ 1])) until a full round changes
     nothing. No step takes g below the reconstruction, and a round that
     changes nothing leaves a fixpoint of the 4-neighbour geodesic erosion,
     of which the reconstruction is the largest below f + h (Vincent 1993)."""
-    mask = f.astype(np.int64)
+    mask = f.astype(np.int16)
     g = mask + int(h)
+    frames = (mask.T.copy(), mask)
     while True:
         before = g
         # sweep contiguous rows: the transposed frame, then the frame itself
-        for fv in (mask.T.copy(), mask):
+        for fv in frames:
             g = g.T.copy()
-            for i in range(1, len(g)):
-                np.maximum(fv[i], np.minimum(g[i], g[i - 1]), out=g[i])
-            for i in range(len(g) - 2, -1, -1):
-                np.maximum(fv[i], np.minimum(g[i], g[i + 1]), out=g[i])
+            rows = list(zip(g, fv))  # views, updated in place
+            for sweep in (rows, rows[::-1]):
+                for (gp, _), (gi, fi) in zip(sweep, sweep[1:]):
+                    np.minimum(gi, gp, out=gi)
+                    np.maximum(gi, fi, out=gi)
         if np.array_equal(g, before):
             return g
 
@@ -299,36 +306,43 @@ def regional_minima_markers(grid: ImageGrid, h: int = 0) -> MarkerMap:
     h-minima suppression. Labels are assigned 1..K in row-major order of each
     plateau's first pixel. A constant image yields a single marker.
 
-    Plateaus are labelled by union-find over pairs of equal-valued
-    4-neighbours: each root hooks to the smallest root it touches, and the
-    pointers are then compressed. A root only ever points to a smaller flat
-    index, so a plateau's root is its smallest flat index, which is its
-    first pixel in row-major order."""
+    Plateaus are labelled by union-find over row runs, maximal stretches of
+    equal values within a row, numbered in row-major order. Two runs join
+    where a pixel equals the pixel below it; each root hooks to the smallest
+    root it touches, and the pointers are then compressed. A root only ever
+    points to a smaller run, so a plateau's root is its first run, whose
+    first pixel is the plateau's first pixel in row-major order."""
     if h < 0:
         raise ValueError("h must be non-negative")
-    f = grid.pixels.astype(np.int64)
+    f = grid.pixels
     if h > 0:
         # any h >= 256 lifts the whole uint8 frame above its highest pixel,
-        # so every such h gives one plateau; the cap keeps f + h in int64
+        # so every such h gives one plateau; the cap keeps f + h in int16
         f = suppress_shallow_minima(f, min(h, 256))
-    idx = np.arange(f.size).reshape(f.shape)
-    # union-find over the pairs (a, b) of equal-valued 4-neighbours
-    right = idx[:, :-1][f[:, 1:] == f[:, :-1]]
-    down = idx[:-1][f[1:] == f[:-1]]
-    a, b = np.r_[right, down], np.r_[right + 1, down + f.shape[1]]
-    root = np.arange(f.size)
+    # row runs, numbered in row-major order: each starts a row or a new value
+    head = np.ones(f.shape, dtype=bool)
+    head[:, 1:] = f[:, 1:] != f[:, :-1]
+    run = (np.cumsum(head, dtype=np.int32) - 1).reshape(f.shape)
+    # union-find over the runs (a, b) that meet where a pixel equals the one below
+    down = f[1:] == f[:-1]
+    a, b = run[:-1][down], run[1:][down]
+    root = np.arange(run[-1, -1] + 1, dtype=np.int32)
     while (split := root[a] != root[b]).any():
-        ra, rb = root[a[split]], root[b[split]]
+        a, b = a[split], b[split]
+        ra, rb = root[a], root[b]
         np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        while not np.array_equal(root, root[root]):
-            root = root[root]
+        while not np.array_equal(nxt := root[root], root):
+            root = nxt
     # a plateau is not a minimum if any of its pixels has a lower 4-neighbour
     p = np.pad(f, 1, mode="edge")
-    lower = np.minimum.reduce([p[:-2, 1:-1], p[2:, 1:-1], p[1:-1, :-2], p[1:-1, 2:]]) < f
-    is_min = ~np.isin(root, root[lower.ravel()])
-    labels = np.zeros(f.size, dtype=np.int32)
-    labels[is_min] = np.unique(root[is_min], return_inverse=True)[1] + 1
-    return MarkerMap(labels.reshape(f.shape))
+    lower = np.minimum(np.minimum(p[:-2, 1:-1], p[2:, 1:-1]),
+                       np.minimum(p[1:-1, :-2], p[1:-1, 2:])) < f
+    drains = np.zeros(root.size, dtype=bool)
+    drains[root[run[lower]]] = True
+    # the roots of the minima, numbered 1..K in run order
+    minimum = ~drains & (root == np.arange(root.size))
+    label = np.cumsum(minimum, dtype=np.int32) * minimum
+    return MarkerMap(label[root][run])
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +384,7 @@ def watershed(grid: ImageGrid, markers: MarkerMap) -> SegmentMap:
     cuts = np.flatnonzero(relief[todo][1:] != relief[todo][:-1]) + 1
     offsets = np.array([-stride, 1, stride, -1])
     pending = np.zeros(labels.size, dtype=bool)
+    stamp = np.zeros(labels.size, dtype=np.int32)
 
     for front in np.split(todo, cuts):
         pending[front] = True
@@ -379,31 +394,22 @@ def watershed(grid: ImageGrid, markers: MarkerMap) -> SegmentMap:
             reached = hi > 0
             front, near, hi = front[reached], near[reached], hi[reached]
             # won: the smallest positive neighbour label is the largest too
-            won = np.where(near > 0, near, hi[:, None]).min(axis=1) == hi
+            np.copyto(near, hi[:, None], where=near <= 0)
+            won = near.min(axis=1) == hi
             labels[front] = np.where(won, hi, -1)
             pending[front] = False
             grown = (front[won, None] + offsets).ravel()
-            front = np.unique(grown[pending[grown]])
+            grown = grown[pending[grown]]
+            # keep one copy of each pixel: the one whose position its stamp holds
+            order = np.arange(grown.size, dtype=np.int32)
+            stamp[grown] = order
+            front = grown[stamp[grown] == order]
     labels[labels < 0] = 0  # line pixels and unreached pixels are divide territory
     return SegmentMap(labels.reshape(-1, stride)[1:-1, 1:-1])
 
 
 # ---------------------------------------------------------------------------
 # Run-length masks
-
-def rle_encode(bits, width: int, height: int) -> MaskRLE:
-    """Encode a row-major bit sequence of length width*height."""
-    flat = np.asarray(bits, dtype=bool).ravel()
-    if flat.size != width * height:
-        raise RleError("bit sequence length must equal width * height")
-    # runs end wherever a pixel differs from the next one
-    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], change, [flat.size]))
-    counts = (bounds[1:] - bounds[:-1]).tolist()
-    if flat.size and flat[0]:
-        counts.insert(0, 0)  # runs start with zeros
-    return MaskRLE(width, height, tuple(counts))
-
 
 def rle_decode(rle: MaskRLE) -> np.ndarray:
     """Decode to a (height, width) boolean array."""

@@ -198,6 +198,13 @@ def test_segment_corrupt_image_is_a_data_error(tmp_path, capsys):
     assert run(capsys, "segment", "--in", image)[0] == 2
 
 
+def test_segment_rejects_a_header_number_with_an_underscore(tmp_path, capsys):
+    image = write_image(tmp_path, data=b"P5\n1_0 1\n255\n" + bytes(10))
+    code, _, err = run(capsys, "segment", "--in", image)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "non-numeric header field" in err
+
+
 # ------------------------------------------------------------ validate
 
 def test_validate_ok_and_image_rehash(tmp_path, capsys):
