@@ -13,10 +13,14 @@ environment variables and per run by flags.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import multiprocessing
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import suppress
 from dataclasses import replace
 
 from . import evaluation, lexicon, ontology, parse_json, retrieval
@@ -203,33 +207,95 @@ def _run_corpus(manifest_path, config, glossary, onto, force=False, workers=None
     images = [os.path.join(base, rel)
               for t in manifest.treatises for rel in t.images]
 
-    def work(path):
-        out = sidecar_path(path)
-        try:
-            blob = _read("image", path)
-            if not force and _is_current(out, blob, config.method):
-                return "skipped", None
-            record = run_pipeline(blob, config, glossary, onto, source_path=path)
-            write_sidecar(record, out)
-            return "processed", None
-        except (ValueError, KeyError, OSError, BackendError) as exc:
-            return "failed", exc  # the families main exits 2 or 3 on; others are bugs
-
+    results = _corpus_results(images, (config, glossary, onto, force),
+                              min(workers or _usable_cpus(), len(images)))
     counts = {"processed": 0, "failed": 0, "skipped": 0}
     backend_failure = False
-    max_workers = workers or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        for path, (status, exc) in zip(images, pool.map(work, images)):
-            counts[status] += 1
-            if exc is not None:
-                _err(f"{path}: {exc}")
-                if isinstance(exc, BackendError):
-                    backend_failure = True
+    for path, (status, message, backend) in results:
+        counts[status] += 1
+        if message is not None:
+            _err(f"{path}: {message}")
+        backend_failure |= backend
     print(f"processed={counts['processed']} failed={counts['failed']} "
           f"skipped={counts['skipped']}")
     if counts["failed"]:
         return EXIT_BACKEND if backend_failure else EXIT_DATA
     return EXIT_OK
+
+
+def _corpus_results(images, job, size):
+    """Each image's path and (status, message, backend failure), in manifest
+    order, as they come. A `size` over 1 means a pool of forked processes:
+    they inherit the job, so only paths and results cross the pipe, and they
+    take the largest file first (LPT order)."""
+    if size <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        for path in images:
+            yield path, _corpus_image(path, *job)
+        return
+    pool = ProcessPoolExecutor(size, multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=job)
+    futures = [None] * len(images)
+    try:
+        with suppress(BrokenProcessPool):  # a worker died: the rest fails below
+            for i in sorted(range(len(images)), key=lambda i: _file_size(images[i]),
+                            reverse=True):
+                futures[i] = pool.submit(_worker_image, images[i])
+        for path, future in zip(images, futures):
+            yield path, _result(future)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _corpus_image(path, config, glossary, onto, force):
+    """(status, message, backend failure) of one corpus image; a message, not
+    the exception, since an exception may not survive the pipe from a worker."""
+    out = sidecar_path(path)
+    try:
+        blob = _read("image", path)
+        if not force and _is_current(out, blob, config.method):
+            return "skipped", None, False
+        record = run_pipeline(blob, config, glossary, onto, source_path=path)
+        write_sidecar(record, out)
+        return "processed", None, False
+    except (ValueError, KeyError, OSError, BackendError) as exc:
+        # the families main exits 2 or 3 on; others are bugs and escape
+        return "failed", str(exc), isinstance(exc, BackendError)
+
+
+_worker_job = ()  # (config, glossary, onto, force) in a corpus worker process
+
+
+def _start_worker(*job) -> None:
+    global _worker_job
+    _worker_job = job
+    gc.freeze()  # the heap inherited from the fork stays out of the worker's collections
+
+
+def _worker_image(path):
+    return _corpus_image(path, *_worker_job)
+
+
+def _result(future):
+    """A worker's result, or a failure when the pool broke before it made one."""
+    try:
+        if future is not None:
+            return future.result()
+    except BrokenProcessPool:
+        pass
+    return "failed", "worker process ended abruptly", False
+
+
+def _file_size(path) -> int:
+    try:
+        return os.path.getsize(path)
+    except OSError:
+        return 0
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _is_current(sidecar: str, image_bytes: bytes, method: str) -> bool:

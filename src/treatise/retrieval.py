@@ -199,23 +199,30 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _all_counts(values) -> bool:
+    """True when every value is a non-negative int; a bool is not one."""
+    return set(map(type, values)) <= {int} and min(values, default=0) >= 0
+
+
 def index_from_obj(doc: dict) -> Index:
     if not isinstance(doc, dict) or not isinstance(doc.get("docs"), dict) \
             or not isinstance(doc.get("postings"), dict):
         raise ValueError("snapshot must carry docs and postings objects")
+    docs = doc["docs"]
+    if not _all_counts(docs.values()):
+        bad = next(doc_id for doc_id, n in docs.items() if not _is_count(n))
+        raise ValueError(f"length of document {bad!r} must be a non-negative integer")
     index = Index()
-    for doc_id, n in doc["docs"].items():
-        if not _is_count(n):
-            raise ValueError(f"length of document {doc_id!r} must be a non-negative integer")
-    index.docs = dict(doc["docs"])
+    index.docs = dict(docs)
     for tok, plist in doc["postings"].items():
         if not isinstance(plist, dict):
             raise ValueError(f"postings for {tok!r} must be an object")
-        for doc_id, tf in plist.items():
-            if doc_id not in index.docs:
-                raise ValueError(f"posting for unknown document {doc_id!r}")
-            if not _is_count(tf):
-                raise ValueError(f"tf of {doc_id!r} under {tok!r} must be a non-negative integer")
+        if not (plist.keys() <= docs.keys() and _all_counts(plist.values())):
+            for doc_id, tf in plist.items():  # name the first bad entry
+                if doc_id not in docs:
+                    raise ValueError(f"posting for unknown document {doc_id!r}")
+                if not _is_count(tf):
+                    raise ValueError(f"tf of {doc_id!r} under {tok!r} must be a non-negative integer")
         index.postings[tok] = dict(plist)
     return index
 

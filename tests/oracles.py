@@ -317,6 +317,32 @@ def bm25_oracle(docs, query_terms, k1=1.2, b=0.75):
     return scores
 
 
+def index_from_obj_oracle(doc):
+    """A snapshot object checked entry by entry: (docs, postings) as fresh
+    dicts, or ValueError naming the first bad entry."""
+    def is_count(value):
+        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+    if not isinstance(doc, dict) or not isinstance(doc.get("docs"), dict) \
+            or not isinstance(doc.get("postings"), dict):
+        raise ValueError("snapshot must carry docs and postings objects")
+    for doc_id, n in doc["docs"].items():
+        if not is_count(n):
+            raise ValueError(f"length of document {doc_id!r} must be a non-negative integer")
+    docs = dict(doc["docs"])
+    postings = {}
+    for tok, plist in doc["postings"].items():
+        if not isinstance(plist, dict):
+            raise ValueError(f"postings for {tok!r} must be an object")
+        for doc_id, tf in plist.items():
+            if doc_id not in docs:
+                raise ValueError(f"posting for unknown document {doc_id!r}")
+            if not is_count(tf):
+                raise ValueError(f"tf of {doc_id!r} under {tok!r} must be a non-negative integer")
+        postings[tok] = dict(plist)
+    return docs, postings
+
+
 # ---------------------------------------------------------------------------
 # ontology
 

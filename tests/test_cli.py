@@ -6,8 +6,11 @@ file handling, and a round trip through every subcommand."""
 import argparse
 import json
 import os
+import random
 import shlex
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -947,7 +950,8 @@ def test_corpus_isolates_per_image_failures(tmp_path, capsys):
     assert "p2.pgm" in err
 
 
-def test_corpus_lets_a_programming_error_escape(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_corpus_lets_a_programming_error_escape(tmp_path, capsys, monkeypatch, workers):
     # per-image isolation covers the data and backend error families that
     # main maps to exits 2 and 3; a TypeError is a bug, not a failed image
     from treatise import cli
@@ -958,7 +962,144 @@ def test_corpus_lets_a_programming_error_escape(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_pipeline", broken)
     manifest = _manifest(tmp_path, ["p1.pgm", "p2.pgm"])
     with pytest.raises(TypeError, match="bug"):
-        main(["pipeline", "--manifest", manifest, "--method", "native", "--workers", "1"])
+        main(["pipeline", "--manifest", manifest, "--method", "native", "--workers", workers])
+
+
+def test_corpus_worker_that_dies_fails_its_images(tmp_path, capfd, monkeypatch):
+    # the patch is forked into the workers; the one that takes p2 ends at once
+    from treatise import cli
+
+    real = cli.run_pipeline
+
+    def dying(blob, config, *args, source_path="", **kwargs):
+        if source_path.endswith("p2.pgm"):
+            os._exit(1)
+        return real(blob, config, *args, source_path=source_path, **kwargs)
+
+    monkeypatch.setattr(cli, "run_pipeline", dying)
+    manifest = _manifest(tmp_path, ["p1.pgm", "p2.pgm", "p3.pgm"])
+    code = main(["pipeline", "--manifest", manifest, "--method", "native", "--workers", "2"])
+    out, err = capfd.readouterr()
+    assert code == 2
+    counts = dict(item.split("=") for item in out.split())
+    assert int(counts["processed"]) + int(counts["failed"]) == 3
+    assert counts["skipped"] == "0"
+    lines = err.splitlines()
+    assert f"{tmp_path / 'p2.pgm'}: worker process ended abruptly" in lines
+    assert len(lines) == int(counts["failed"])
+    assert all(line.endswith(": worker process ended abruptly") for line in lines)
+
+
+def test_corpus_pool_that_breaks_while_submitting_fails_the_rest(tmp_path, capsys,
+                                                                 monkeypatch):
+    from treatise import cli
+
+    class BreaksAfterOne(ProcessPoolExecutor):
+        submitted = 0
+
+        def submit(self, fn, path):
+            if self.submitted:
+                raise BrokenProcessPool("a worker ended")
+            self.submitted += 1
+            return super().submit(fn, path)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", BreaksAfterOne)
+    manifest = _manifest(tmp_path, ["p1.pgm", "p2.pgm", "p3.pgm"])
+    code, out, err = run(capsys, "pipeline", "--manifest", manifest,
+                         "--method", "native", "--workers", "2")
+    assert (code, out) == (2, "processed=1 failed=2 skipped=0\n")
+    assert err.splitlines() == [f"{tmp_path / name}: worker process ended abruptly"
+                                for name in ("p2.pgm", "p3.pgm")]
+
+
+def _noise_pgm(side, seed):
+    rng = random.Random(seed)
+    return make_pgm([[rng.randrange(256) for _ in range(side)] for _ in range(side)])
+
+
+def test_corpus_output_is_the_same_for_one_worker_or_a_pool(tmp_path, capsys, monkeypatch):
+    # small broken image, large good page (submitted first to a pool), broken image
+    from treatise import pipeline
+
+    monkeypatch.setattr(pipeline, "utc_timestamp", lambda: "2026-01-01T00:00:00Z")
+    names = ["a.pgm", "big.pgm", "c.pgm", "small.pgm"]
+    manifest = _manifest(tmp_path, names)
+    (tmp_path / "a.pgm").write_bytes(b"P6 broken")
+    (tmp_path / "big.pgm").write_bytes(_noise_pgm(48, 1))
+    (tmp_path / "c.pgm").write_bytes(b"P5\n4 4\n255\n" + bytes(3))
+    runs = []
+    for workers in ("1", "2"):
+        code, out, err = run(capsys, "pipeline", "--manifest", manifest,
+                             "--method", "native", "--workers", workers, "--force")
+        sidecars = {n: (tmp_path / sidecar_path(n)).read_bytes()
+                    for n in names if (tmp_path / sidecar_path(n)).exists()}
+        for path in sidecars:
+            (tmp_path / sidecar_path(path)).unlink()
+        runs.append((code, out, err, sidecars))
+    assert runs[0] == runs[1]
+    code, out, err, sidecars = runs[0]
+    assert (code, out) == (2, "processed=2 failed=2 skipped=0\n")
+    assert [line.split(":")[0] for line in err.splitlines()] == [
+        str(tmp_path / "a.pgm"), str(tmp_path / "c.pgm")]
+    assert sorted(sidecars) == ["big.pgm", "small.pgm"]
+
+
+class _RecordingPool(ProcessPoolExecutor):
+    """The real pool, noting its size and the order of the paths submitted."""
+
+    made: list = []
+    submitted: list = []
+
+    def __init__(self, max_workers, *args, **kwargs):
+        self.made.append(max_workers)
+        super().__init__(max_workers, *args, **kwargs)
+
+    def submit(self, fn, path):
+        self.submitted.append(os.path.basename(path))
+        return super().submit(fn, path)
+
+
+def test_corpus_pool_takes_the_largest_file_first(tmp_path, capsys, monkeypatch):
+    from treatise import cli
+
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(_RecordingPool, "submitted", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    names = ["small.pgm", "missing.pgm", "large.pgm", "mid.pgm", "mid2.pgm"]
+    manifest = _manifest(tmp_path, names)
+    (tmp_path / "missing.pgm").unlink()
+    for name, side in (("large.pgm", 24), ("mid.pgm", 12), ("mid2.pgm", 12)):
+        (tmp_path / name).write_bytes(_noise_pgm(side, 2))
+    code, out, err = run(capsys, "pipeline", "--manifest", manifest,
+                         "--method", "native", "--workers", "8")
+    assert code == 2
+    assert out == "processed=4 failed=1 skipped=0\n"
+    assert err.startswith(f"{tmp_path / 'missing.pgm'}: ")
+    assert _RecordingPool.made == [5]
+    assert _RecordingPool.submitted == ["large.pgm", "mid.pgm", "mid2.pgm", "small.pgm",
+                                        "missing.pgm"]
+
+
+@pytest.mark.parametrize("case", ["one usable cpu", "one image", "no fork"])
+def test_corpus_with_one_worker_makes_no_pool(tmp_path, capsys, monkeypatch, case):
+    from treatise import cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was made")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    names = ["p1.pgm"] if case == "one image" else ["p1.pgm", "p2.pgm"]
+    argv = ["pipeline", "--manifest", _manifest(tmp_path, names), "--method", "native"]
+    if case == "one usable cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    elif case == "one image":
+        argv += ["--workers", "4"]
+    else:
+        monkeypatch.setattr(cli.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        argv += ["--workers", "2"]
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, f"processed={len(names)} failed=0 skipped=0\n")
 
 
 def test_corpus_backend_failures_exit_3(tmp_path, capsys):

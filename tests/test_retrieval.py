@@ -2,11 +2,12 @@
 semantics, query expansion, BM25 ranking against an independent oracle,
 tie ordering, kind filters, and snapshot persistence."""
 
+import copy
 import random
 
 import pytest
 
-from oracles import bm25_oracle
+from oracles import bm25_oracle, index_from_obj_oracle
 from treatise.catalog import (
     ImageRecord,
     LabelAssignment,
@@ -297,3 +298,57 @@ def test_snapshot_validation():
         index_from_obj({"docs": {}, "postings": {"keel": {"ghost": 1}}})
     with pytest.raises(ValueError):
         index_from_obj({"docs": {"a": 1}, "postings": {"keel": [1]}})
+
+
+_BAD_COUNTS = (True, False, 1.5, -1, "3", None, [2])
+
+
+def _mutate_snapshot(obj, rng):
+    """One seeded edit of a snapshot object, valid or not."""
+    docs, postings = obj["docs"], obj["postings"]
+    kind = rng.choice(["doc", "tf", "ghost", "plist", "drop", "big", "top"])
+    if kind == "doc" and docs:
+        docs[rng.choice(sorted(docs))] = rng.choice(_BAD_COUNTS + (0,))
+    elif kind == "tf" and postings:
+        plist = postings[rng.choice(sorted(postings))]
+        if isinstance(plist, dict) and plist:
+            plist[rng.choice(sorted(plist))] = rng.choice(_BAD_COUNTS + (0,))
+    elif kind == "ghost" and postings:
+        plist = postings[rng.choice(sorted(postings))]
+        if isinstance(plist, dict):
+            plist[f"ghost#{rng.randrange(3)}"] = rng.randrange(1, 4)
+    elif kind == "plist" and postings:
+        postings[rng.choice(sorted(postings))] = rng.choice([[1], "keel", None, 3])
+    elif kind == "drop" and docs:
+        del docs[rng.choice(sorted(docs))]
+    elif kind == "big" and docs:
+        docs[rng.choice(sorted(docs))] = 10 ** rng.randrange(18, 40)
+    elif kind == "top":
+        obj[rng.choice(["docs", "postings"])] = rng.choice([[], None, "x"])
+
+
+def test_snapshot_checks_match_the_entry_by_entry_oracle():
+    index = Index()
+    for n in range(6):
+        index_record(index, make_record(f"img{n}", {
+            s: [(t, None)] for s, t in enumerate(
+                ["keel", "mast", "keel", "rudder", "hull stern"][:n], 1)}, caption="ship"))
+    base = index_to_obj(index)
+    rng = random.Random(20)
+    raised = 0
+    for _ in range(1500):
+        obj = copy.deepcopy(base)
+        for _ in range(rng.randrange(4)):
+            if isinstance(obj["docs"], dict) and isinstance(obj["postings"], dict):
+                _mutate_snapshot(obj, rng)
+        try:
+            expected = index_from_obj_oracle(copy.deepcopy(obj))
+        except ValueError as exc:
+            raised += 1
+            with pytest.raises(ValueError) as got:
+                index_from_obj(obj)
+            assert str(got.value) == str(exc)
+        else:
+            loaded = index_from_obj(obj)
+            assert (loaded.docs, loaded.postings) == expected
+    assert 300 < raised < 1400
