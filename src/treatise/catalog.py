@@ -42,7 +42,7 @@ class SidecarFormatError(ValueError):
     """Structurally invalid sidecar bytes; .path is the offending location."""
 
     def __init__(self, path: str, message: str):
-        self.path = path
+        self.path, self.message = path, message
         super().__init__(f"{path}: {message}")
 
 
@@ -138,13 +138,17 @@ def _assignment_to_obj(a: LabelAssignment) -> dict:
 
 
 def record_to_obj(record: ImageRecord) -> dict:
+    return _record_obj(record, [_segment_to_obj(s) for s in record.segments])
+
+
+def _record_obj(record: ImageRecord, segments) -> dict:
     obj = {
         "schema_version": SCHEMA_VERSION,
         "image_id": record.image_id,
         "source_path": record.source_path,
         "width": record.width,
         "height": record.height,
-        "segments": [_segment_to_obj(s) for s in record.segments],
+        "segments": segments,
         "assignments": {
             str(sid): [_assignment_to_obj(a) for a in items]
             for sid, items in record.assignments.items()
@@ -427,11 +431,49 @@ def validate_record(record: ImageRecord, image_bytes: bytes | None = None) -> li
     return out
 
 
+# A segment's canonical JSON, keys in sorted order; the contour goes in as
+# "[%d,%d]" points, the mask counts as decimal ints.
+_SEGMENT_JSON = '{"area":%d,"bbox":[%d,%d,%d,%d],"contour":[%s],"id":%d,"mask":{"counts":[%s]}}'
+
+
+def _segments_json(segments) -> str:
+    """The canonical JSON of the segment list's items, joined by commas, one
+    template per segment. `%d` would write a float, bool or numpy int as an
+    int, so a value that is not an exact int raises SidecarValidationError
+    with the path and message the reader would give."""
+    try:
+        text = ",".join([_SEGMENT_JSON % (
+            s.area, s.bbox.x, s.bbox.y, s.bbox.w, s.bbox.h,
+            ",".join(map("[%d,%d]".__mod__, s.contour)), s.id,
+            ",".join(map(str, s.mask.counts))) for s in segments])
+        # every point is a pair now, so its coordinates can be chained
+        if set(map(type, chain.from_iterable(
+                chain((s.id, s.area, s.bbox.x, s.bbox.y, s.bbox.w, s.bbox.h), s.mask.counts,
+                      chain.from_iterable(s.contour)) for s in segments))) <= {int}:
+            return text
+    except TypeError:  # a point that is not a pair, or a value that is no number
+        pass
+    # the reader's own checks name the first value it would reject
+    for i, seg in enumerate(segments):
+        try:
+            _segment_from_obj(_segment_to_obj(seg), f"/segments/{i}")
+        except SidecarFormatError as exc:
+            raise SidecarValidationError([Violation(exc.path, exc.message)]) from None
+    raise TypeError("contour points must be (x, y) tuples")
+
+
 def record_to_bytes(record: ImageRecord) -> bytes:
+    """Validate and canonicalize: the segments from one template each, the
+    rest through canonical_json_bytes, spliced in at the sorted place of the
+    "segments" key."""
     violations = validate_record(record)
     if violations:
         raise SidecarValidationError(violations)
-    return canonical_json_bytes(record_to_obj(record))
+    segments = _segments_json(record.segments).encode("ascii")
+    obj = _record_obj(record, None)
+    head = canonical_json_bytes({k: v for k, v in obj.items() if k < "segments"})
+    tail = canonical_json_bytes({k: v for k, v in obj.items() if k > "segments"})
+    return b"%s,\"segments\":[%s],%s" % (head[:-1], segments, tail[1:])
 
 
 def atomic_write(destination, data: bytes) -> None:

@@ -260,6 +260,8 @@ def _corpus_image(path, config, glossary, onto, force):
     except (ValueError, KeyError, OSError, BackendError) as exc:
         # the families main exits 2 or 3 on; others are bugs and escape
         return "failed", str(exc), isinstance(exc, BackendError)
+    except MemoryError:  # a page too large for this machine fails alone
+        return "failed", "out of memory", False
 
 
 _worker_job = ()  # (config, glossary, onto, force) in a corpus worker process
@@ -554,6 +556,9 @@ def main(argv=None) -> int:
         return EXIT_BACKEND
     except (ValueError, KeyError, OSError) as exc:
         _err(f"error: {exc}")
+        return EXIT_DATA
+    except MemoryError:
+        _err("error: out of memory")
         return EXIT_DATA
     except KeyboardInterrupt:
         return 130

@@ -10,9 +10,13 @@ labelled by union-find over row runs, rooted at each plateau's first run in
 row-major order; the h-minima reconstruction sweeps rows and columns of int16
 levels to the fixpoint of the geodesic erosion, two in-place ufuncs per row;
 the gradient is an integer Sobel; and the watershed runs each synchronous
-wave as one array step over its front, deduplicated without sorting.
-Segment extraction sorts the label map's row runs and boundary pixels by
-label and is array code but for one Moore walk per region.
+wave as one array step over its front, deduplicated without sorting, on a
+map of labels minus one (-1 not yet flooded, -2 line or frame), so that one
+gather of the front's neighbours gives the largest basin as its max and the
+smallest as its min read as uint32. Segment extraction sorts the label
+map's row runs and boundary pixels by label and is array code but for one
+Moore walk per region, which steps through a table indexed by each boundary
+pixel's 8-bit neighbour code and backtrack direction.
 """
 
 from __future__ import annotations
@@ -28,6 +32,12 @@ N8_CLOCKWISE = ((0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1,
 # the backtrack, in direction _BACKTRACK_AFTER[j] of the new pixel
 _SCANS = tuple(tuple(j % 8 for j in range(d + 1, d + 9)) for d in range(8))
 _BACKTRACK_AFTER = (6, 6, 0, 0, 2, 2, 4, 4)
+# _FIRST[code * 8 + d]: the first direction of _SCANS[d] whose bit is set in
+# the neighbour code (bit j: the neighbour in direction j is in the region);
+# code 0, an isolated pixel, is never looked up, since every pixel a walk
+# steps onto has the pixel it came from as a neighbour
+_FIRST = bytes(next((j for j in _SCANS[d] if code >> j & 1), 0)
+               for code in range(256) for d in range(8))
 
 
 class PgmError(ValueError):
@@ -362,12 +372,17 @@ def watershed(grid: ImageGrid, markers: MarkerMap) -> SegmentMap:
     and never propagates. Pixels never reached by any basin (cut off by line
     pixels) also end up 0.
 
-    Each wave is one array step over its front: a pixel whose positive
-    neighbour labels have equal min and max takes that label, any other
-    becomes a line pixel. The next front is the pending neighbours of the
-    pixels labelled in this wave. A level's first wave starts from that
+    Each wave is one array step over its front. The flat int32 map holds
+    each pixel's label minus one: basin k holds k - 1, a pixel not yet
+    flooded -1, and line pixels and the one-pixel frame -2. One gather
+    takes the front's 4 neighbours as a (4, n) array; its max is the largest
+    basin, and its min read as uint32 is the smallest, since both sentinels
+    read as the largest uint32 values. A pixel whose smallest and largest
+    basins agree takes that basin, any other becomes a line pixel. The next
+    front is the pending neighbours of the pixels won in this wave, so every
+    pixel of it touches a basin. A level's first wave starts from that
     level's own pixels only, because pixels left pending by lower levels
-    have no labelled neighbour.
+    have no labelled neighbour; it alone drops the pixels no basin reaches.
     """
     if (grid.height, grid.width) != (markers.height, markers.width):
         raise WatershedInputError("grid and marker dimensions disagree")
@@ -375,37 +390,37 @@ def watershed(grid: ImageGrid, markers: MarkerMap) -> SegmentMap:
         raise WatershedInputError("marker map is empty")
 
     stride = grid.width + 2
-    # flat arrays with a one-pixel frame that is labelled 0 and never pending;
-    # line pixels hold -1 until the end
-    labels = np.pad(markers.labels, 1).ravel()
+    labels = np.pad(markers.labels - 1, 1, constant_values=-2).ravel()
     relief = np.pad(grid.pixels, 1).ravel()
-    todo = np.flatnonzero(np.pad(markers.labels == 0, 1))
+    todo = np.flatnonzero(labels == -1)
     todo = todo[np.argsort(relief[todo], kind="stable")]
     cuts = np.flatnonzero(relief[todo][1:] != relief[todo][:-1]) + 1
-    offsets = np.array([-stride, 1, stride, -1])
+    offsets = np.array([[-stride], [1], [stride], [-1]], dtype=np.intp)
     pending = np.zeros(labels.size, dtype=bool)
     stamp = np.zeros(labels.size, dtype=np.int32)
 
     for front in np.split(todo, cuts):
         pending[front] = True
+        first = True
         while front.size:
-            near = labels[front[:, None] + offsets]
-            hi = near.max(axis=1)
-            reached = hi > 0
-            front, near, hi = front[reached], near[reached], hi[reached]
-            # won: the smallest positive neighbour label is the largest too
-            np.copyto(near, hi[:, None], where=near <= 0)
-            won = near.min(axis=1) == hi
-            labels[front] = np.where(won, hi, -1)
+            near = labels[front + offsets]
+            hi = near.max(axis=0)
+            lo = near.view(np.uint32).min(axis=0).view(np.int32)
+            if first:
+                reached = hi >= 0
+                front, hi, lo = front[reached], hi[reached], lo[reached]
+                first = False
+            won = lo == hi
+            labels[front] = np.where(won, hi, -2)
             pending[front] = False
-            grown = (front[won, None] + offsets).ravel()
+            grown = (front[won] + offsets).ravel()
             grown = grown[pending[grown]]
             # keep one copy of each pixel: the one whose position its stamp holds
             order = np.arange(grown.size, dtype=np.int32)
             stamp[grown] = order
             front = grown[stamp[grown] == order]
-    labels[labels < 0] = 0  # line pixels and unreached pixels are divide territory
-    return SegmentMap(labels.reshape(-1, stride)[1:-1, 1:-1])
+    # line pixels and unreached pixels are divide territory
+    return SegmentMap(np.maximum(labels.reshape(-1, stride)[1:-1, 1:-1], -1) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +442,17 @@ def rle_decode(rle: MaskRLE) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Segment extraction
 
-def trace_contour(cells, stride: int, rid: int, starts: list[int]) -> list[int]:
-    """Order the boundary pixels of region rid by clockwise Moore tracing.
+def trace_contour(codes: bytes, ring: list[int], starts: list[int]) -> list[int]:
+    """Order the boundary pixels of one region by clockwise Moore tracing.
 
-    `cells` is a flat label map framed by non-region cells, `stride` its row
-    length, and `starts` the region's 4-boundary cells in row-major order.
+    `codes` holds one byte per cell of a flat map framed by non-region
+    cells, `ring` the flat offsets of a cell's 8 neighbours in N8_CLOCKWISE
+    order, and `starts` the region's 4-boundary cells in row-major order.
+    The byte of a boundary cell is its neighbour code: bit j is set when
+    its neighbour in direction j is in the region; other cells are never
+    read. Each step looks up its direction in `_FIRST[code * 8 + back]`,
+    the first set bit of the code clockwise past the backtrack `back`,
+    instead of probing the neighbours.
     Each closed boundary (outer border, then hole borders) is walked
     clockwise starting from its topmost-leftmost untraced pixel; pixels are
     listed once, in first-visit order, as flat indices, and cover the full
@@ -439,7 +460,6 @@ def trace_contour(cells, stride: int, rid: int, starts: list[int]) -> list[int]:
     or after 8 * (untraced boundary pixels + 1) steps, as in
     `oracles.moore_oracle`.
     """
-    ring = [dy * stride + dx for dx, dy in N8_CLOCKWISE]
     ordered: dict[int, None] = {}  # insertion-ordered: first visit wins
     for start in starts:
         if start in ordered:
@@ -448,18 +468,17 @@ def trace_contour(cells, stride: int, rid: int, starts: list[int]) -> list[int]:
         # pixels number len(starts) - len(ordered)
         budget = 8 * (len(starts) - len(ordered) + 1)
         ordered[start] = None
+        code = codes[start]
+        if not code:
+            continue  # isolated pixel
         # initial backtrack: first non-region 4-neighbor, clockwise from north
-        back = next(d for d in (0, 2, 4, 6) if cells[start + ring[d]] != rid)
+        back = next(d for d in (0, 2, 4, 6) if not code >> d & 1)
         cur = start
         # the walk is deterministic in (pixel, backtrack): once a state
         # repeats it only retraces itself, so it ends there
         states = {start * 8 + back}
         for _ in range(budget):
-            for j in _SCANS[back]:
-                if cells[cur + ring[j]] == rid:
-                    break
-            else:
-                break  # isolated pixel
+            j = _FIRST[codes[cur] * 8 + back]
             cur += ring[j]
             back = _BACKTRACK_AFTER[j]
             state = cur * 8 + back
@@ -495,6 +514,12 @@ def extract_segments(segmap: SegmentMap, x: int = 0, y: int = 0) -> list[Segment
     border = np.flatnonzero(edge)
     cells = cells.ravel()
     border = border[np.argsort(cells[border], kind="stable")]
+    # each boundary pixel's neighbour code: bit j, its neighbour in
+    # direction j has its label
+    ring = [dy * stride + dx for dx, dy in N8_CLOCKWISE]
+    near = cells[border + np.array(ring, dtype=np.intp)[:, None]]
+    codes = np.zeros(cells.size, dtype=np.uint8)
+    codes[border] = np.packbits(near == cells[border], axis=0, bitorder="little")[0]
     starts = np.flatnonzero(left[:, :-1] & inside)
     lengths = np.flatnonzero(left[:, 1:] & inside) - starts + 1
     ids = labels.ravel()[starts]
@@ -518,7 +543,7 @@ def extract_segments(segmap: SegmentMap, x: int = 0, y: int = 0) -> list[Segment
     counts = np.ravel((gap[merged], np.add.reduceat(lengths, merged)), order="F").tolist()
     runs = np.flatnonzero(first[merged]).tolist() + [merged.size]
     cuts = np.searchsorted(cells[border], ids[heads]).tolist() + [border.size]
-    border, cells = border.tolist(), memoryview(cells)
+    border, codes = border.tolist(), codes.tobytes()
     ox, oy = x - 1, y - 1  # image position of the frame's top-left cell
     out = []
     for k, (rid, bx, by, w, h, area, tail) in enumerate(np.array((
@@ -527,7 +552,7 @@ def extract_segments(segmap: SegmentMap, x: int = 0, y: int = 0) -> list[Segment
         mask = counts[2 * runs[k] : 2 * runs[k + 1]]
         if tail:
             mask.append(tail)
-        walk = trace_contour(cells, stride, rid, border[cuts[k] : cuts[k + 1]])
+        walk = trace_contour(codes, ring, border[cuts[k] : cuts[k + 1]])
         out.append(Segment(rid, BoundingBox(bx + x, by + y, w, h), MaskRLE(w, h, tuple(mask)),
                            area, tuple([(p % stride + ox, p // stride + oy) for p in walk])))
     return out

@@ -155,6 +155,55 @@ class TestRoundtrip:
             record_from_obj(obj)
         assert str(err.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("field, value, path, message", [
+        ("id", 1.0, "/segments/0/id", "unexpected type float"),
+        ("id", True, "/segments/0/id", "unexpected type bool"),
+        ("id", np.int64(1), "/segments/0/id", "unexpected type int64"),
+        ("bbox", BoundingBox(0.0, 0, 3, 2), "/segments/0/bbox", "expected a list of 4 integers"),
+        ("bbox", BoundingBox(False, 0, 3, 2), "/segments/0/bbox", "expected a list of 4 integers"),
+        ("bbox", BoundingBox(np.int64(0), 0, 3, 2), "/segments/0/bbox",
+         "expected a list of 4 integers"),
+        ("area", 6.0, "/segments/0/area", "unexpected type float"),
+        ("area", np.int64(6), "/segments/0/area", "unexpected type int64"),
+        ("counts", (0, 6.0), "/segments/0/mask/counts", "counts must be integers"),
+        ("counts", (False, 6), "/segments/0/mask/counts", "counts must be integers"),
+        ("counts", (0, np.int64(6)), "/segments/0/mask/counts", "counts must be integers"),
+        ("contour", ((0, 0), (1.0, 0)), "/segments/0/contour/1", "expected a list of 2 integers"),
+        ("contour", ((0, 0), (1, True)), "/segments/0/contour/1", "expected a list of 2 integers"),
+        ("contour", ((np.int64(0), 0),), "/segments/0/contour/0", "expected a list of 2 integers"),
+    ])
+    def test_write_rejects_what_the_reader_rejects(self, tmp_path, field, value, path, message):
+        # the template writes every value with %d, which would print these
+        # as ints; the write refuses them with the reader's path and message
+        rec, _ = simple_record()
+        seg = rec.segments[0]
+        if field == "counts":
+            seg = replace(seg, mask=MaskRLE(3, 2, value))
+        else:
+            seg = replace(seg, **{field: value})
+        rec = replace(rec, segments=(seg,))
+        dest = tmp_path / "page.segments.json"
+        with pytest.raises(SidecarValidationError) as err:
+            write_sidecar(rec, dest)
+        assert str(err.value) == f"{path}: {message}"
+        assert not dest.exists()
+        with pytest.raises(SidecarFormatError) as read_err:
+            record_from_obj(record_to_obj(rec))
+        assert str(read_err.value) == str(err.value)
+
+    def test_bytes_are_the_canonical_dump_of_the_object(self):
+        # foreign keys on both sides of "segments", non-ASCII text, no segments
+        rng = random.Random(16)
+        extras = ({}, {"aa": [1, {"z": "é"}], "sa": 1.5, "segmentz": None, "zz": "ü",
+                       "": True, "segments": "shadowed", "image_caption": "from extra"})
+        for _ in range(150):
+            rec, _ = fuzz_record(rng)
+            for r in (rec,
+                      replace(rec, extra=rng.choice(extras),
+                              image_caption=rng.choice((None, "ação naval — ½ 船"))),
+                      replace(rec, segments=(), assignments={}, extra=rng.choice(extras))):
+                assert record_to_bytes(r) == canonical_json_bytes(record_to_obj(r))
+
     def test_unsupported_schema_version(self):
         rec, _ = simple_record()
         obj = record_to_obj(rec)

@@ -990,6 +990,41 @@ def test_corpus_worker_that_dies_fails_its_images(tmp_path, capfd, monkeypatch):
     assert all(line.endswith(": worker process ended abruptly") for line in lines)
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_corpus_page_out_of_memory_is_one_failed_image(tmp_path, capsys, monkeypatch,
+                                                       workers):
+    # the patch is forked into the workers; only the wider p2 runs out of memory
+    from treatise import pipeline
+
+    real = pipeline.watershed
+
+    def greedy(grid, markers):
+        if grid.width == 5:
+            raise MemoryError
+        return real(grid, markers)
+
+    monkeypatch.setattr(pipeline, "watershed", greedy)
+    manifest = _manifest(tmp_path, ["p1.pgm", "p2.pgm", "p3.pgm"])
+    (tmp_path / "p2.pgm").write_bytes(RIDGE)
+    code, out, err = run(capsys, "pipeline", "--manifest", manifest,
+                         "--method", "native", "--workers", workers)
+    assert (code, out) == (2, "processed=2 failed=1 skipped=0\n")
+    assert err == f"{tmp_path / 'p2.pgm'}: out of memory\n"
+    assert [os.path.exists(tmp_path / f"p{i}.pgm.segments.json") for i in (1, 2, 3)] \
+        == [True, False, True]
+
+
+def test_segment_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    from treatise import pipeline
+
+    def greedy(grid, markers):
+        raise MemoryError
+
+    monkeypatch.setattr(pipeline, "watershed", greedy)
+    code, out, err = run(capsys, "segment", "--in", write_image(tmp_path))
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 def test_corpus_pool_that_breaks_while_submitting_fails_the_rest(tmp_path, capsys,
                                                                  monkeypatch):
     from treatise import cli

@@ -12,9 +12,9 @@ import pytest
 
 import oracles
 from conftest import make_pgm, shaped_mask
-from treatise.catalog import load_sidecar
+from treatise.catalog import canonical_json_bytes, load_sidecar, record_to_bytes, record_to_obj
 from treatise.cli import main
-from treatise.pipeline import _segments_from_wire
+from treatise.pipeline import PipelineConfig, _segments_from_wire, run_pipeline
 
 
 def noise_page(rng, w, h):
@@ -93,6 +93,19 @@ def test_segment_sidecar_matches_oracle_chain(tmp_path, kind, seed, h):
     assert main(["segment", "--in", str(image), "--out", str(out), "--h", str(h)]) == 0
     got = record_segments(load_sidecar(out).segments)
     assert got == oracle_segments(pixels, h)
+
+
+@pytest.mark.parametrize("h", [0, 4])
+@pytest.mark.parametrize("kind, seed", PAGES)
+def test_sidecar_bytes_are_the_canonical_dump_of_the_record(kind, seed, h):
+    rng = random.Random(f"{kind}-{seed}")
+    if kind == "noise":
+        pixels = noise_page(rng, rng.randint(8, 14), rng.randint(8, 14))
+    else:
+        pixels = ring_page(rng, rng.randint(14, 18))
+    record = run_pipeline(make_pgm(pixels), PipelineConfig(method="native", h_threshold=h))
+    assert record.segments
+    assert record_to_bytes(record) == canonical_json_bytes(record_to_obj(record))
 
 
 def test_ring_pages_have_a_region_with_a_hole():

@@ -377,6 +377,48 @@ class TestWatershed:
                 got = watershed(grid, markers).labels.tolist()
                 assert got == oracles.watershed_oracle(rows, markers.labels.tolist())
 
+    @pytest.mark.parametrize("top", [1, 2, 2**31 - 1])
+    def test_oracle_equivalence_at_both_ends_of_the_label_range(self, top):
+        # labels are stored minus one in int32 and compared as uint32 too:
+        # the largest marker label must stay a basin, never a sentinel
+        rng = random.Random(top)
+        for _ in range(60):
+            rows = random_grid(rng, rng.randint(1, 7), rng.randint(1, 7))
+            ml = regional_minima_markers(rows_grid(rows)).labels
+            labels = np.where(ml == ml.max(), top, np.minimum(ml, 1))
+            grid, markers = ws_pair(rows, labels.tolist())
+            got = watershed(grid, markers).labels.tolist()
+            assert got == oracles.watershed_oracle(rows, labels.tolist())
+
+    def test_pocket_cut_off_at_its_level_floods_at_a_higher_one(self):
+        # the 1 in the middle has no flooded neighbour at level 1; it is
+        # reached in a later wave of level 5, after its ring
+        rows = [[0, 5, 5, 5, 9],
+                [5, 5, 1, 5, 9],
+                [5, 5, 5, 5, 9],
+                [9, 9, 9, 9, 0]]
+        markers = [[1, 0, 0, 0, 0], [0] * 5, [0] * 5, [0, 0, 0, 0, 2]]
+        grid, m = ws_pair(rows, markers)
+        got = watershed(grid, m).labels.tolist()
+        assert got == oracles.watershed_oracle(rows, markers)
+        assert got[1][2] == 1
+
+    def test_oracle_equivalence_with_sparse_markers(self):
+        # markers on a few pixels, not on the minima, leave low pockets that
+        # no basin reaches at their own level
+        rng = random.Random(31)
+        for _ in range(200):
+            w, h = rng.randint(1, 9), rng.randint(1, 9)
+            rows = random_grid(rng, w, h, 0, 6)
+            labels = [[0] * w for _ in range(h)]
+            for k in range(1, rng.randint(1, 3) + 1):
+                labels[rng.randrange(h)][rng.randrange(w)] = k
+            if not any(map(any, labels)):
+                continue
+            grid, markers = ws_pair(rows, labels)
+            got = watershed(grid, markers).labels.tolist()
+            assert got == oracles.watershed_oracle(rows, labels)
+
 
 # ---------------------------------------------------------------------------
 # RLE
@@ -467,6 +509,46 @@ class TestContour:
         assert contour == oracles.moore_oracle(rows)
         if side == 23:  # a walk without the budget lists (2, 21) first
             assert contour.index((21, 11)) < contour.index((2, 21))
+
+    @staticmethod
+    def assert_walks_match(labels):
+        """Every region's contour in a label map is the oracle's walk over
+        the mask of that region."""
+        labels = np.asarray(labels, dtype=np.int32)
+        segs = extract_segments(SegmentMap(labels))
+        assert [s.id for s in segs] == sorted(set(labels[labels > 0].tolist()))
+        for seg in segs:
+            assert list(seg.contour) == oracles.moore_oracle((labels == seg.id).tolist())
+
+    @pytest.mark.parametrize("labels", [
+        [[1]],
+        [[1, 0, 1], [0, 0, 0], [1, 0, 1]],
+        [[2, 2, 2], [2, 1, 2], [2, 2, 2]],
+        [[1, 0, 0, 1], [0, 0, 0, 0], [1, 1, 0, 1]],
+    ])
+    def test_isolated_pixels_have_code_zero(self, labels):
+        self.assert_walks_match(labels)
+
+    @pytest.mark.parametrize("labels", [
+        [[1] * 5] * 5,
+        [[1, 1, 1, 1, 1], [1, 0, 0, 0, 1], [1, 0, 2, 0, 1], [1, 0, 0, 0, 1], [1, 1, 1, 1, 1]],
+        [[0, 0, 1, 0, 0], [0, 0, 1, 0, 0], [1, 1, 1, 1, 1], [0, 0, 1, 0, 0], [0, 0, 1, 0, 0]],
+        [[1, 1, 1, 1], [1, 2, 2, 1], [1, 1, 1, 1], [1, 3, 1, 1], [1, 1, 1, 1]],
+        [[1], [1], [1]],
+    ])
+    def test_regions_touching_every_frame_edge(self, labels):
+        self.assert_walks_match(labels)
+
+    @pytest.mark.parametrize("labels", [
+        [[1, 2], [2, 1]],
+        [[(x + y) % 2 + 1 for x in range(6)] for y in range(5)],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+        [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]],
+        [[1, 0, 1, 0, 1], [0, 1, 0, 1, 0], [1, 0, 2, 0, 1], [0, 1, 0, 1, 0], [1, 0, 1, 0, 1]],
+    ])
+    def test_regions_that_touch_only_diagonally(self, labels):
+        self.assert_walks_match(labels)
 
 
 class TestExtractSegments:
