@@ -4,10 +4,16 @@ ground, define), speaking JSON over POST /v1/<stage>.
 Request bodies are canonical JSON, and the SHA-256 of every body sent is
 kept in an in-order call log; pipeline provenance is built from that log.
 Responses are schema-checked before anything downstream touches them.
+
+Requests go out through `http.client`. Each process keeps one idle
+connection per scheme, host and port, so a page's calls and the next
+page's share one connection (RFC 9112 §9); a forked child closes its
+copies of the parent's connections.
 """
 
 from __future__ import annotations
 
+import atexit
 import base64
 import hashlib
 import http.client
@@ -16,7 +22,7 @@ import threading
 import time
 import urllib.request
 from dataclasses import dataclass
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urljoin, urlsplit, urlunsplit
 
 from . import parse_json
 from .catalog import canonical_json_bytes
@@ -70,27 +76,133 @@ def check_endpoint(stage: str, url):
     raise ValueError(f"endpoint {stage} URL {url!r} is not valid")
 
 
-class _HttpRedirect(urllib.request.HTTPRedirectHandler):
-    """Follows a redirect only to http or https; any other target ends as its 30x status."""
+# the proxy map is read once, as a urllib opener built at import reads it
+_PROXIES = urllib.request.getproxies()
+_REDIRECTS = (301, 302, 303)  # followed as a GET without a body; 307 and 308 are not
+MAX_REDIRECTS = 10
+# how a kept-alive connection that the server closed while it was idle fails,
+# before any reply byte; RemoteDisconnected is a ConnectionResetError
+_STALE = (ConnectionResetError, BrokenPipeError)
+_MAX_IDLE = 8  # idle connections kept at most, one per (scheme, host, port, proxy)
+_idle: dict = {}
+_idle_lock = threading.Lock()
 
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        if urlsplit(newurl).scheme in ("http", "https"):
-            return super().redirect_request(req, fp, code, msg, headers, newurl)
-        return None
+
+def _close_idle() -> None:
+    """Close the idle connections: at exit, and in a forked child, which
+    must never write to the copies it has of the parent's sockets. A socket
+    is closed, never shut down: shutdown would end the parent's connection
+    too."""
+    global _idle_lock
+    _idle_lock = threading.Lock()  # a fork may have copied it held
+    for conn in _idle.values():
+        conn.close()
+    _idle.clear()
 
 
-_OPENER = urllib.request.build_opener(_HttpRedirect)
+atexit.register(_close_idle)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_close_idle)
+
+
+def _take(key):
+    with _idle_lock:
+        return _idle.pop(key, None)
+
+
+def _give(key, conn) -> None:
+    """Keep `conn` for the next request to `key`, unless another is kept already."""
+    with _idle_lock:
+        if key not in _idle:
+            if len(_idle) >= _MAX_IDLE:
+                _idle.pop(next(iter(_idle))).close()
+            _idle[key] = conn
+            return
+    conn.close()
+
+
+def _route(parts):
+    """(pool key, connection factory, request target, extra headers) of a URL:
+    straight to its host, or through the proxy its scheme names unless
+    `no_proxy` exempts the host. Over a proxy, http sends the absolute URL
+    and https tunnels with CONNECT."""
+    https = parts.scheme == "https"
+    target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
+    host, port = parts.hostname, parts.port or (443 if https else 80)
+    make = http.client.HTTPSConnection if https else http.client.HTTPConnection
+    proxy = _PROXIES.get(parts.scheme)
+    if not proxy or urllib.request.proxy_bypass(parts.netloc.rpartition("@")[2]):
+        return (parts.scheme, host, port, None), lambda t: make(host, port, timeout=t), target, {}
+    via = urlsplit(proxy if "://" in proxy else "//" + proxy)
+    auth = {}
+    if via.username is not None:
+        token = base64.b64encode(f"{unquote(via.username)}:{unquote(via.password or '')}"
+                                 .encode()).decode("ascii")
+        auth = {"Proxy-Authorization": f"Basic {token}"}
+    key = (parts.scheme, host, port, proxy)
+    if not https:
+        url = urlunsplit((parts.scheme, parts.netloc, parts.path, parts.query, ""))
+        return key, lambda t: make(via.hostname, via.port, timeout=t), url, auth
+
+    def tunnel(t):
+        conn = make(via.hostname, via.port, timeout=t)
+        conn.set_tunnel(host, port, headers=auth)
+        return conn
+    return key, tunnel, target, {}
+
+
+def _exchange(url: str, method: str, body, headers: dict, timeout: float):
+    """(status, Location header, at most MAX_BODY_BYTES + 1 bytes of the
+    body) of one request. It goes out on the idle connection to the URL's
+    host when there is one. If that connection turns out to be closed
+    before any byte of a reply, the request is sent again, at once, on a
+    new one. A connection is kept only after a whole reply within the
+    bound that does not say `Connection: close`."""
+    key, make, target, extra = _route(urlsplit(url))
+    headers = {**headers, **extra}
+    conn = _take(key)
+    try:
+        if conn is not None:
+            conn.timeout = timeout
+            conn.sock.settimeout(timeout)
+            try:
+                conn.request(method, target, body, headers)
+                reply = conn.getresponse()
+            except _STALE:  # not an attempt: send it again below, without backoff
+                conn.close()
+                conn = None
+        if conn is None:
+            conn = make(timeout)
+            conn.request(method, target, body, headers)
+            reply = conn.getresponse()
+        data = reply.read(MAX_BODY_BYTES + 1)
+    except BaseException:
+        if conn is not None:
+            conn.close()
+        raise
+    if reply.isclosed() and not reply.will_close and len(data) <= MAX_BODY_BYTES:
+        _give(key, conn)
+    else:
+        conn.close()
+    return reply.status, reply.getheader("Location"), data
 
 
 def _post(url: str, body: bytes, timeout: float) -> tuple[int, bytes]:
-    """Status of the reply to POSTing JSON `body`, and at most MAX_BODY_BYTES + 1 of its bytes."""
-    request = urllib.request.Request(url, body, {"Content-Type": "application/json"})
-    try:
-        reply = _OPENER.open(request, timeout=timeout)
-    except urllib.request.HTTPError as err:
-        reply = err
-    with reply:
-        return reply.status, reply.read(MAX_BODY_BYTES + 1)
+    """Status of the reply to POSTing JSON `body`, and at most MAX_BODY_BYTES + 1 of its bytes.
+
+    A 301, 302 or 303 to an http or https URL is followed as a GET without a
+    body, at most MAX_REDIRECTS times; any other reply is returned as it is."""
+    method, headers = "POST", {"Content-Type": "application/json"}
+    for _ in range(MAX_REDIRECTS + 1):
+        status, location, data = _exchange(url, method, body, headers, timeout)
+        if status not in _REDIRECTS or location is None:
+            break
+        try:
+            url = check_endpoint("redirect", urljoin(url, location))
+        except ValueError:  # another scheme, or no host: the reply stands
+            break
+        method, body, headers = "GET", None, {}
+    return status, data
 
 
 def _is_num(v) -> bool:

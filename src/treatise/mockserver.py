@@ -158,11 +158,13 @@ class _Handler(BaseHTTPRequestHandler):
     # body waits for the client's delayed ACK (about 40 ms per reply)
     disable_nagle_algorithm = True
 
-    def _reply(self, status: int, obj) -> None:
+    def _reply(self, status: int, obj, close: bool = False) -> None:
         data = canonical_json_bytes(obj)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close:  # send_header sets close_connection too
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -172,8 +174,8 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             length = 0
         if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            self._reply(413, {"error": f"request body over {MAX_BODY_BYTES} bytes"})
+            # the unread body still follows: say so and close (RFC 9112 §9.6)
+            self._reply(413, {"error": f"request body over {MAX_BODY_BYTES} bytes"}, close=True)
             return
         raw = self.rfile.read(length) if length > 0 else b""
         endpoint = self.path[4:] if self.path.startswith("/v1/") else None

@@ -1,11 +1,15 @@
 import contextlib
 import random
+import sys
 import threading
+from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
 
 import pytest
 
-from treatise import fixtures, lexicon, ontology
+from treatise import fixtures, lexicon, mockserver, ontology
+from treatise.catalog import canonical_json_bytes
 
 
 def make_pgm(rows):
@@ -16,14 +20,26 @@ def make_pgm(rows):
     return f"P5\n{w} {h}\n255\n".encode() + body
 
 
-class _ReplyHandler(BaseHTTPRequestHandler):
+class Hit(NamedTuple):
+    """One request a test server answered; `peer` is the client's (address,
+    port), the same for every request on one connection."""
+
+    method: str
+    path: str
+    peer: tuple
+    headers: Message
+    body: bytes
+
+
+class _ScriptHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
 
     def do_POST(self):
-        self.rfile.read(int(self.headers.get("Content-Length") or 0))
-        self.server.hits.append(self.path)
-        status, body, headers = self.server.reply
+        body = self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        hit = Hit(self.command, self.path, self.client_address, self.headers, body)
+        self.server.hits.append(hit)
+        status, body, headers = self.server.respond(self, hit)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         for name, value in headers.items():
@@ -32,17 +48,28 @@ class _ReplyHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    do_GET = do_CONNECT = do_POST
+
     def log_message(self, format, *args):
         pass
 
 
+class _ScriptServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        # a client that timed out has closed the connection a late reply goes to
+        if not isinstance(sys.exc_info()[1], (BrokenPipeError, ConnectionResetError)):
+            super().handle_error(request, client_address)
+
+
 @contextlib.contextmanager
-def reply_server(status, body, headers=None):
-    """A local HTTP server that answers every POST with `status`, the bytes
-    `body` and any extra `headers`; yields its base URL and the list of
-    request paths it served."""
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _ReplyHandler)
-    httpd.reply, httpd.hits = (status, body, headers or {}), []
+def scripted_server(respond):
+    """A local HTTP/1.1 server that answers each request with what
+    `respond(handler, hit)` returns: a status, the body bytes and a dict of
+    extra headers. `respond` may also sleep, or set
+    `handler.close_connection` to close the connection after the reply
+    without saying so. Yields the base URL and the list of Hits served."""
+    httpd = _ScriptServer(("127.0.0.1", 0), _ScriptHandler)
+    httpd.respond, httpd.hits = respond, []
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
                               daemon=True)
     thread.start()
@@ -52,6 +79,18 @@ def reply_server(status, body, headers=None):
         httpd.shutdown()
         httpd.server_close()
         thread.join(timeout=5)
+
+
+def reply_server(status, body, headers=None):
+    """A scripted_server that answers every request with `status`, the bytes
+    `body` and any extra `headers`."""
+    return scripted_server(lambda handler, hit: (status, body, headers or {}))
+
+
+def mock_reply(handler, hit):
+    """A scripted_server reply from the mock backends' rules."""
+    status, obj = mockserver.mock_response(hit.path.rpartition("/")[2], hit.body)
+    return status, canonical_json_bytes(obj), {}
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,17 @@
 import base64
 import hashlib
+import http.client
 import json
+import os
 import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from conftest import make_pgm, reply_server
+from conftest import make_pgm, reply_server, scripted_server
 from treatise import backends
 from treatise.backends import (
     STAGES,
@@ -318,7 +323,9 @@ class TestLiveServer:
                 reply = b""
                 while chunk := sock.recv(4096):  # the server closes after replying
                     reply += chunk
-        assert reply.startswith(b"HTTP/1.1 413 ")
+        head = reply.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+        assert head[0].startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in head[1:]  # a kept-alive client must not keep it
 
     def test_error_propagates_as_backend_error(self):
         with MockBackendServer() as srv:
@@ -341,3 +348,174 @@ class TestLiveServer:
             eps = resolve_endpoints({})
             cli = BackendClient(eps)
             assert cli.caption(make_pgm([[1]]))["caption"] == FALLBACK_CAPTION
+
+
+CAPTION = canonical_json_bytes({"caption": "x"})
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestRedirects:
+    def test_302_is_followed_as_get_without_body(self):
+        def respond(handler, hit):
+            if hit.path == "/v1/caption":
+                port = handler.server.server_address[1]
+                return 302, b"", {"Location": f"http://127.0.0.1:{port}/moved"}
+            return 200, CAPTION, {}
+
+        with scripted_server(respond) as (base, hits):
+            cli = BackendClient({"caption": f"{base}/v1/caption"})
+            assert cli.caption(b"i") == {"caption": "x"}
+        assert [(h.method, h.path) for h in hits] == [("POST", "/v1/caption"), ("GET", "/moved")]
+        assert hits[0].body and hits[0].headers["Content-Type"] == "application/json"
+        assert hits[1].body == b""
+        assert "Content-Type" not in hits[1].headers and "Content-Length" not in hits[1].headers
+        assert len(cli.calls) == 1
+
+    def test_at_most_ten_redirects_are_followed(self):
+        def respond(handler, hit):  # /v1/caption -> /r1 -> /r2 -> ...
+            n = int(hit.path[2:]) + 1 if hit.path.startswith("/r") else 1
+            return 302, b"", {"Location": f"/r{n}"}
+
+        with scripted_server(respond) as (base, hits):
+            cli = BackendClient({"caption": f"{base}/v1/caption"}, backoff=0.0)
+            with pytest.raises(BackendError, match="HTTP 302: error"):
+                cli.caption(b"i")
+        assert [h.path for h in hits] == ["/v1/caption"] + [f"/r{n}" for n in range(1, 11)]
+
+
+# a call in a fresh interpreter, so that the proxy variables are read at import
+PROXY_CALL = """
+import sys
+from treatise.backends import BackendClient
+try:
+    print(BackendClient({"caption": sys.argv[1]}, backoff=0.0).caption(b"i")["caption"])
+except Exception as exc:
+    print(type(exc).__name__)
+"""
+
+
+def _call_in_subprocess(url, **proxies):
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    env.update(proxies, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", PROXY_CALL, url], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestProxies:
+    def test_http_goes_through_the_proxy_unless_no_proxy(self):
+        with reply_server(200, CAPTION) as (direct, direct_hits), \
+                reply_server(200, canonical_json_bytes({"caption": "proxied"})) as (proxy, hits):
+            url = f"{direct}/v1/caption"
+            assert _call_in_subprocess(url, http_proxy=proxy) == "proxied"
+            assert [(h.method, h.path) for h in hits] == [("POST", url)]  # absolute form
+            assert direct_hits == []
+            assert _call_in_subprocess(url, http_proxy=proxy, no_proxy="127.0.0.1") == "x"
+            assert [h.path for h in direct_hits] == ["/v1/caption"] and len(hits) == 1
+
+    def test_proxy_credentials_are_sent(self):
+        with reply_server(200, CAPTION) as (proxy, hits):
+            with_user = proxy.replace("http://", "http://user:p%40ss@")
+            assert _call_in_subprocess("http://127.0.0.1:9/v1/caption", http_proxy=with_user) == "x"
+        token = base64.b64encode(b"user:p@ss").decode()
+        assert hits[0].headers["Proxy-Authorization"] == f"Basic {token}"
+
+    def test_https_tunnels_through_the_proxy(self):
+        # the proxy refuses the tunnel, so each attempt ends at CONNECT
+        with reply_server(502, b"") as (proxy, hits):
+            out = _call_in_subprocess("https://127.0.0.1:9/v1/caption", https_proxy=proxy)
+        assert out == "BackendError"
+        assert [(h.method, h.path) for h in hits] == [("CONNECT", "127.0.0.1:9")] * 3
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """The connection object of each request that http.client sends, in order."""
+    conns = []
+    request = http.client.HTTPConnection.request
+
+    def record(self, *args, **kwargs):
+        conns.append(self)
+        return request(self, *args, **kwargs)
+    monkeypatch.setattr(http.client.HTTPConnection, "request", record)
+    return conns
+
+
+class TestConnections:
+    def client(self, base, **kw):
+        return BackendClient({"caption": f"{base}/v1/caption"}, **kw)
+
+    def test_one_connection_serves_consecutive_calls(self, sent):
+        with reply_server(200, CAPTION) as (base, hits):
+            cli = self.client(base)
+            for _ in range(3):
+                cli.caption(b"i")
+            self.client(base).caption(b"i")  # another client in the same process
+        assert len(hits) == 4 and len({h.peer for h in hits}) == 1
+        assert len(sent) == 4 and len(set(map(id, sent))) == 1
+
+    def test_idle_connection_closed_by_server_is_replaced_at_once(self, monkeypatch, sent):
+        sleeps = []
+        monkeypatch.setattr("treatise.backends.time.sleep", sleeps.append)
+
+        def respond(handler, hit):
+            handler.close_connection = True  # closes after replying, without saying so
+            return 200, CAPTION, {}
+
+        with scripted_server(respond) as (base, hits):
+            cli = self.client(base)
+            assert cli.caption(b"i") == cli.caption(b"i") == {"caption": "x"}
+        # the second call went out on the dead connection, then once on a new one
+        assert sent[1] is sent[0] and sent[2] is not sent[0] and len(sent) == 3
+        assert len(hits) == 2 and hits[0].peer != hits[1].peer
+        assert sleeps == [] and len(cli.calls) == 2
+
+    def test_no_reuse_after_connection_close(self, sent):
+        with reply_server(200, CAPTION, {"Connection": "close"}) as (base, hits):
+            cli = self.client(base)
+            cli.caption(b"i")
+            cli.caption(b"i")
+        assert len(sent) == 2 and sent[1] is not sent[0]
+        assert len(hits) == 2 and hits[0].peer != hits[1].peer
+
+    def test_no_reuse_after_an_over_bound_reply(self, monkeypatch, sent):
+        monkeypatch.setattr(backends, "MAX_BODY_BYTES", 1024)
+        # one byte over: the whole reply is read, yet the connection is not kept
+        replies = [canonical_json_bytes({"caption": "x" * 1011}), CAPTION]
+        assert len(replies[0]) == 1025
+
+        with scripted_server(lambda handler, hit: (200, replies.pop(0), {})) as (base, hits):
+            cli = self.client(base)
+            with pytest.raises(BackendError, match="reply over 1024 bytes"):
+                cli.caption(b"i")
+            assert cli.caption(b"i") == {"caption": "x"}
+        assert len(sent) == 2 and sent[1] is not sent[0]
+        assert hits[0].peer != hits[1].peer
+
+    def test_no_reuse_after_an_exception(self, sent):
+        def respond(handler, hit):
+            if len(handler.server.hits) == 1:
+                time.sleep(0.5)  # the first attempt times out
+            return 200, CAPTION, {}
+
+        with scripted_server(respond) as (base, hits):
+            cli = self.client(base, timeout=0.1, backoff=0.0)
+            assert cli.caption(b"i") == {"caption": "x"}  # on the second attempt
+            cli.caption(b"i")
+        assert len(sent) == 3 and sent[1] is not sent[0] and sent[2] is sent[1]
+
+    def test_reused_connection_obeys_a_smaller_timeout(self, sent):
+        def respond(handler, hit):
+            if len(handler.server.hits) > 1:
+                time.sleep(1.0)
+            return 200, CAPTION, {}
+
+        with scripted_server(respond) as (base, hits):
+            self.client(base, timeout=5.0).caption(b"i")
+            quick = self.client(base, timeout=0.1, backoff=0.0)
+            start = time.perf_counter()
+            with pytest.raises(BackendError, match="timed out"):
+                quick.caption(b"i")
+            assert time.perf_counter() - start < 0.8
+        assert sent[1] is sent[0] and hits[1].peer == hits[0].peer

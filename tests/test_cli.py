@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_pgm, reply_server
+from conftest import make_pgm, mock_reply, reply_server, scripted_server
 from treatise import backends
 from treatise.catalog import (
     ImageRecord,
@@ -451,6 +451,54 @@ def test_pipeline_hostile_reply_exits_3(tmp_path, capsys, monkeypatch, status, b
     assert code == 3
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert len(hits) == 1  # not retried
+
+
+@pytest.mark.parametrize("status", [307, 308])
+def test_pipeline_307_308_redirect_exits_3_after_one_request(tmp_path, capsys, status):
+    # a POST would have to be sent again as a POST: neither is followed
+    def respond(handler, hit):
+        return status, b"", {"Location": "/v1/moved"}
+
+    image = write_image(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    with scripted_server(respond) as (base, hits):
+        cfg.write_text(json.dumps({"endpoints": {s: f"{base}/v1/{s}" for s in backends.STAGES}}))
+        code, _, err = run(capsys, "pipeline", "--config", str(cfg),
+                           "--in", image, "--method", "m1")
+    assert (code, err) == (3, f"error: segment: HTTP {status}: error\n")
+    assert [h.path for h in hits] == ["/v1/segment"]
+
+
+def _config_for(tmp_path, base):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"endpoints": {s: f"{base}/v1/{s}" for s in backends.STAGES}}))
+    return str(cfg)
+
+
+def test_one_connection_serves_consecutive_pipeline_calls(tmp_path, capsys):
+    image = write_image(tmp_path)
+    with scripted_server(mock_reply) as (base, hits):
+        argv = ("pipeline", "--config", _config_for(tmp_path, base), "--in", image,
+                "--method", "m1")
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv)[0] == 0
+    assert len(hits) == 6 and len({h.peer for h in hits}) == 1
+
+
+def test_forked_workers_leave_the_parents_connection_alone(tmp_path, capsys):
+    image = write_image(tmp_path)
+    manifest = _manifest(tmp_path, ["p1.pgm", "p2.pgm", "p3.pgm", "p4.pgm"])
+    with scripted_server(mock_reply) as (base, hits):
+        cfg = _config_for(tmp_path, base)
+        single = ("pipeline", "--config", cfg, "--in", image, "--method", "m1")
+        assert run(capsys, *single)[0] == 0
+        parent = hits[0].peer
+        code, out, _ = run(capsys, "pipeline", "--config", cfg, "--manifest", manifest,
+                           "--method", "m1", "--workers", "2")
+        assert (code, out) == (0, "processed=4 failed=0 skipped=0\n")
+        assert len(hits) == 15 and parent not in {h.peer for h in hits[3:]}
+        assert run(capsys, *single)[0] == 0
+    assert {h.peer for h in hits[15:]} == {parent} and len(hits) == 18
 
 
 @pytest.mark.parametrize("url", ["notaurl", "ftp://x/v1/segment", "file:///etc/hostname",
