@@ -76,7 +76,7 @@ def check_endpoint(stage: str, url):
     raise ValueError(f"endpoint {stage} URL {url!r} is not valid")
 
 
-# the proxy map is read once, as a urllib opener built at import reads it
+# http_proxy and https_proxy as they stand at import; no_proxy is read at each call
 _PROXIES = urllib.request.getproxies()
 _REDIRECTS = (301, 302, 303)  # followed as a GET without a body; 307 and 308 are not
 MAX_REDIRECTS = 10
