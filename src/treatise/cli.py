@@ -16,13 +16,11 @@ import argparse
 import functools
 import gc
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import suppress
+from contextlib import closing, suppress
 from dataclasses import replace
+from typing import NamedTuple
 
 from . import evaluation, lexicon, ontology, parse_json, retrieval
 from .backends import BackendError, check_endpoint, resolve_endpoints
@@ -208,15 +206,17 @@ def _run_corpus(manifest_path, config, glossary, onto, force=False, workers=None
     images = [os.path.join(base, rel)
               for t in manifest.treatises for rel in t.images]
 
-    results = _corpus_results(images, (config, glossary, onto, force),
-                              min(workers or _usable_cpus(), len(images)))
     counts = {"processed": 0, "failed": 0, "skipped": 0}
     backend_failure = False
-    for path, (status, message, backend) in results:
-        counts[status] += 1
-        if message is not None:
-            _err(f"{path}: {message}")
-        backend_failure |= backend
+    job = (config, glossary, onto, force)
+    with closing(_corpus_results(_corpus_image, images, job, workers)) as results:
+        for path, outcome in results:
+            if isinstance(outcome, _Failure):
+                counts["failed"] += 1
+                _err(f"{path}: {outcome.message}")
+                backend_failure |= outcome.backend
+            else:
+                counts[outcome] += 1
     print(f"processed={counts['processed']} failed={counts['failed']} "
           f"skipped={counts['skipped']}")
     if counts["failed"]:
@@ -224,75 +224,119 @@ def _run_corpus(manifest_path, config, glossary, onto, force=False, workers=None
     return EXIT_OK
 
 
-def _corpus_results(images, job, size):
-    """Each image's path and (status, message, backend failure), in manifest
-    order, as they come. A `size` over 1 means a pool of forked processes:
-    they inherit the job, so only paths and results cross the pipe, and they
-    take the largest file first (LPT order)."""
-    if size <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        for path in images:
-            yield path, _corpus_image(path, *job)
+def _corpus_image(path, config, glossary, onto, force) -> str:
+    """Run one corpus image; "processed", or "skipped" when its sidecar is current."""
+    out = sidecar_path(path)
+    blob = _read("image", path)
+    if not force and _is_current(out, blob, config.method):
+        return "skipped"
+    write_sidecar(run_pipeline(blob, config, glossary, onto, source_path=path), out)
+    return "processed"
+
+
+# ---------------------------------------------------------------------------
+# forked workers
+
+class _Failure(NamedTuple):
+    """A task that raised one of the error families main exits 2 or 3 on; a
+    message, not the exception, since an exception may not survive the pipe
+    from a worker."""
+    message: str
+    backend: bool = False
+
+
+def __getattr__(name):
+    """The pool machinery, imported on first use: only commands over many
+    files start workers, and the imports cost about 15 ms."""
+    if name == "multiprocessing":
+        import multiprocessing as value
+    elif name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+# batches handed to each worker: enough to even out uneven items, few
+# enough that the pool's per-task cost stays small next to the work
+_BATCHES_PER_WORKER = 8
+
+
+def _corpus_results(task, items, job, workers=None):
+    """Each item with `task(item, *job)` or its _Failure, in input order, as
+    they come. With more than one worker (`workers`, else one per usable CPU,
+    at most one per item) the items run in a pool of forked processes: they
+    inherit the task and job, so only items and results cross the pipe. The
+    pool takes the largest input first (LPT order), in batches."""
+    this = sys.modules[__name__]  # the pool machinery, through __getattr__
+    size = min(workers or _usable_cpus(), len(items))
+    if size <= 1 or "fork" not in this.multiprocessing.get_all_start_methods():
+        for item in items:
+            yield item, _attempt(task, item, job)
         return
-    pool = ProcessPoolExecutor(size, multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=job)
-    futures = [None] * len(images)
+    from concurrent.futures.process import BrokenProcessPool
+
+    order = sorted(range(len(items)), key=lambda i: _input_bytes(items[i]), reverse=True)
+    rank = {i: r for r, i in enumerate(order)}
+    step = max(1, len(items) // (size * _BATCHES_PER_WORKER))  # items per batch
+    pool = this.ProcessPoolExecutor(size, this.multiprocessing.get_context("fork"),
+                                    initializer=_start_worker, initargs=(task, job))
+    futures = []  # batch b holds order[b * step:(b + 1) * step]
     try:
         with suppress(BrokenProcessPool):  # a worker died: the rest fails below
-            for i in sorted(range(len(images)), key=lambda i: _file_size(images[i]),
-                            reverse=True):
-                futures[i] = pool.submit(_worker_image, images[i])
-        for path, future in zip(images, futures):
-            yield path, _result(future)
+            for start in range(0, len(order), step):
+                batch = (items[i] for i in order[start:start + step])
+                futures.append(pool.submit(_worker_batch, *batch))
+        for i, item in enumerate(items):
+            b, k = divmod(rank[i], step)
+            outcome = _Failure("worker process ended abruptly")
+            with suppress(BrokenProcessPool):
+                if b < len(futures):
+                    outcome = futures[b].result()[k]
+            yield item, outcome
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _corpus_image(path, config, glossary, onto, force):
-    """(status, message, backend failure) of one corpus image; a message, not
-    the exception, since an exception may not survive the pipe from a worker."""
-    out = sidecar_path(path)
+def _attempt(task, item, job):
     try:
-        blob = _read("image", path)
-        if not force and _is_current(out, blob, config.method):
-            return "skipped", None, False
-        record = run_pipeline(blob, config, glossary, onto, source_path=path)
-        write_sidecar(record, out)
-        return "processed", None, False
+        return task(item, *job)
     except (ValueError, KeyError, OSError, BackendError) as exc:
         # the families main exits 2 or 3 on; others are bugs and escape
-        return "failed", str(exc), isinstance(exc, BackendError)
-    except MemoryError:  # a page too large for this machine fails alone
-        return "failed", "out of memory", False
+        return _Failure(str(exc), isinstance(exc, BackendError))
+    except MemoryError:  # an input too large for this machine fails alone
+        return _Failure("out of memory")
 
 
-_worker_job = ()  # (config, glossary, onto, force) in a corpus worker process
+_worker_job = None  # (task, job) in a worker process
 
 
-def _start_worker(*job) -> None:
+def _start_worker(task, job) -> None:
     global _worker_job
-    _worker_job = job
+    _worker_job = task, job
     gc.freeze()  # the heap inherited from the fork stays out of the worker's collections
 
 
-def _worker_image(path):
-    return _corpus_image(path, *_worker_job)
+def _worker_batch(*items) -> list:
+    task, job = _worker_job
+    return [_attempt(task, item, job) for item in items]
 
 
-def _result(future):
-    """A worker's result, or a failure when the pool broke before it made one."""
-    try:
-        if future is not None:
-            return future.result()
-    except BrokenProcessPool:
-        pass
-    return "failed", "worker process ended abruptly", False
+def _value(outcome):
+    """A task's value; a _Failure is raised as a ValueError, a data error."""
+    if isinstance(outcome, _Failure):
+        raise ValueError(outcome.message)
+    return outcome
 
 
-def _file_size(path) -> int:
-    try:
-        return os.path.getsize(path)
-    except OSError:
-        return 0
+def _input_bytes(item) -> int:
+    """Bytes in the item's file, or files for a tuple of paths; 0 for a missing one."""
+    total = 0
+    for path in (item,) if isinstance(item, str) else item:
+        with suppress(OSError):
+            total += os.path.getsize(path)
+    return total
 
 
 def _usable_cpus() -> int:
@@ -345,11 +389,17 @@ def _cmd_index(args) -> int:
         index = retrieval.load_index(index_path)
     else:
         index = retrieval.Index()
-    for path in args.sidecars:
-        retrieval.index_record(index, _read("sidecar", path, read_sidecar))
+    with closing(_corpus_results(_sidecar_docs, args.sidecars, ())) as results:
+        for _, outcome in results:
+            index.add_image(*_value(outcome))
     retrieval.save_index(index, index_path)
     _err(f"{index.doc_count} documents -> {index_path}")
     return EXIT_OK
+
+
+def _sidecar_docs(path) -> tuple:
+    record = _read("sidecar", path, read_sidecar)
+    return record.image_id, retrieval.record_docs(record)
 
 
 def _cmd_search(args) -> int:
@@ -376,12 +426,9 @@ def _cmd_eval(args) -> int:
         raise UsageError("eval needs matching --pred/--truth pairs")
     glossary = _knowledge(args, cfg, "glossary") or lexicon.Glossary({}, {})
     onto = _knowledge(args, cfg, "ontology") or ontology.Ontology({}, ())
-    reports = []
-    for pred_path, truth_path in zip(preds, truths):
-        predicted = _read("sidecar", pred_path, read_sidecar)
-        truth = _read("truth", truth_path, evaluation.load_truth)
-        reports.append(evaluation.evaluate(
-            predicted, truth, glossary, onto, iou_threshold=args.iou_threshold))
+    job = (glossary, onto, args.iou_threshold)
+    with closing(_corpus_results(_pair_report, list(zip(preds, truths)), job)) as results:
+        reports = [_value(outcome) for _, outcome in results]
     overall = evaluation.aggregate(reports, macro=args.macro)
     print(evaluation.format_report_table(reports + [overall]))
     if args.out:
@@ -391,6 +438,12 @@ def _cmd_eval(args) -> int:
         }
         atomic_write(args.out, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
     return EXIT_OK
+
+
+def _pair_report(pair, glossary, onto, iou_threshold):
+    predicted = _read("sidecar", pair[0], read_sidecar)
+    truth = _read("truth", pair[1], evaluation.load_truth)
+    return evaluation.evaluate(predicted, truth, glossary, onto, iou_threshold=iou_threshold)
 
 
 def _cmd_overlay(args) -> int:

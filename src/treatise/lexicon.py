@@ -43,8 +43,10 @@ def normalize_term(text: str) -> str:
     """Canonical token form: NFKD, combining marks stripped, lowercase,
     whitespace collapsed, one trailing plural suffix removed per word (never
     shrinking a word below 3 letters). Idempotent."""
-    t = unicodedata.normalize("NFKD", text)
-    t = "".join(ch for ch in t if not unicodedata.combining(ch))
+    t = text
+    if not t.isascii():  # both steps leave ASCII as it is
+        t = unicodedata.normalize("NFKD", t)
+        t = "".join(ch for ch in t if not unicodedata.combining(ch))
     t = " ".join(t.lower().split())
     if not t:
         return ""

@@ -13,7 +13,9 @@ from __future__ import annotations
 import base64
 import hashlib
 import re
+import socket
 import threading
+from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -191,12 +193,39 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _Server(ThreadingHTTPServer):
+    """Keeps each open connection's handler thread, so that closing the
+    server can end the connections a client keeps alive."""
+
+    def __init__(self, address):
+        super().__init__(address, _Handler)
+        self._open: dict = {}  # request socket -> its handler thread
+
+    def process_request(self, request, client_address):
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address), daemon=True)
+        self._open[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request):
+        self._open.pop(request, None)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        # a handler waiting for the next request reads end of file and returns
+        for request, thread in self._open.copy().items():
+            with suppress(OSError):
+                request.shutdown(socket.SHUT_RDWR)
+            thread.join(timeout=5)
+
+
 class MockBackendServer:
     """Threaded HTTP server; port=0 binds an ephemeral port."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  fixtures: dict | None = None, max_tags: int = 32):
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        self._httpd = _Server((host, port))
         self._httpd.mock_fixtures = fixtures or {}
         self._httpd.mock_max_tags = max_tags
         self._thread = None

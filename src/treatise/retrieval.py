@@ -56,6 +56,7 @@ class Index:
     def __init__(self):
         self.docs: dict[str, int] = {}                 # doc_id -> token count
         self.postings: dict[str, dict[str, int]] = {}  # token -> doc_id -> tf
+        self._by_image: dict[str, set] | None = None    # image id -> its doc ids, once removing
 
     def __eq__(self, other):
         return (isinstance(other, Index)
@@ -72,10 +73,27 @@ class Index:
         self.docs[doc_id] = len(tokens)
         for tok, tf in terms.items():
             self.postings.setdefault(tok, {})[doc_id] = tf
+        if self._by_image is not None:
+            self._by_image.setdefault(doc_id.split("#", 1)[0], set()).add(doc_id)
+
+    def add_image(self, image_id: str, docs) -> None:
+        """Replace the image's documents with `docs`, (doc_id, tokens) pairs
+        as `record_docs` makes them."""
+        # exact: every indexed image has its whole-image document
+        if image_id in self.docs:
+            self.remove_image(image_id)
+        for doc_id, tokens in docs:
+            self._add_doc(doc_id, tokens)
 
     def remove_image(self, image_id: str) -> None:
-        prefix = image_id + "#"
-        stale = [d for d in self.docs if d == image_id or d.startswith(prefix)]
+        """Drop the image's documents: those whose id is the image id or
+        starts with it and `#`. The doc ids are grouped by image on the first
+        removal, so a search, which removes nothing, never pays for it."""
+        if self._by_image is None:
+            self._by_image = {}
+            for doc_id in self.docs:
+                self._by_image.setdefault(doc_id.split("#", 1)[0], set()).add(doc_id)
+        stale = self._by_image.pop(image_id, ())
         for doc_id in stale:
             del self.docs[doc_id]
         for tok, plist in list(self.postings.items()):
@@ -92,23 +110,28 @@ def _assignment_tokens(assignment) -> list:
     return toks
 
 
-def index_record(index: Index, record: ImageRecord) -> Index:
-    """Replace any prior postings for this image, then add one document per
-    segment and one for the whole image. Indexing the same record twice is
-    a no-op."""
-    # exact: every indexed record has its whole-image document
-    if record.image_id in index.docs:
-        index.remove_image(record.image_id)
+def record_docs(record: ImageRecord) -> list:
+    """The record's documents as (doc_id, tokens): one per segment, then the
+    whole image, whose tokens are the caption's and every segment's."""
     page_tokens: list[str] = []
     if record.image_caption:
         page_tokens.extend(lexicon.tokenize(record.image_caption))
+    docs = []
     for seg in record.segments:
         seg_tokens: list[str] = []
         for a in record.assignments.get(seg.id, ()):
             seg_tokens.extend(_assignment_tokens(a))
         page_tokens.extend(seg_tokens)
-        index._add_doc(f"{record.image_id}#{seg.id}", seg_tokens)
-    index._add_doc(record.image_id, page_tokens)
+        docs.append((f"{record.image_id}#{seg.id}", seg_tokens))
+    docs.append((record.image_id, page_tokens))
+    return docs
+
+
+def index_record(index: Index, record: ImageRecord) -> Index:
+    """Replace any prior postings for this image, then add one document per
+    segment and one for the whole image. Indexing the same record twice is
+    a no-op."""
+    index.add_image(record.image_id, record_docs(record))
     return index
 
 

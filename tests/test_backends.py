@@ -6,6 +6,7 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -313,6 +314,16 @@ class TestLiveServer:
         srv.stop()
         assert time.perf_counter() - start < 0.25
 
+    def test_stop_ends_the_connections_a_client_keeps_alive(self):
+        # each cycle leaves an idle kept-alive connection in the client; its
+        # handler thread must not outlive the server
+        blob = make_pgm([[1, 2], [3, 4]])
+        threads = threading.active_count()
+        for _ in range(5):
+            with MockBackendServer() as srv:
+                assert BackendClient(srv.endpoints).caption(blob) == {"caption": FALLBACK_CAPTION}
+        assert threading.active_count() == threads
+
     def test_oversized_body_gets_413_unread(self):
         # only the header claims the size: no body is sent, none is read
         with MockBackendServer() as srv:
@@ -386,6 +397,7 @@ class TestRedirects:
 # a call in a fresh interpreter, so that the proxy variables are read at import
 PROXY_CALL = """
 import sys
+import threading
 from treatise.backends import BackendClient
 try:
     print(BackendClient({"caption": sys.argv[1]}, backoff=0.0).caption(b"i")["caption"])

@@ -5,9 +5,12 @@ file handling, and a round trip through every subcommand."""
 
 import argparse
 import json
+import multiprocessing
 import os
 import random
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -1383,3 +1386,172 @@ def test_mutated_input_files_exit_0_or_2_with_one_line(tmp_path, capsys, kind, e
         assert code == 2 and err.count("\n") == 1
         if kind != "snapshot":  # `search` reads its snapshot through retrieval.load_index
             assert err.startswith(f"error: {kind} {path}: ")
+
+
+# ------------------------------------------------------------ index and eval in workers
+
+_WORDS = ["keel", "sternpost", "frame", "knee", "scarf", "rib", "quilha"]
+
+
+def _labeled(tmp_path, prefix, n, seed, source="tagger"):
+    """n one-segment sidecars with 1 to 6 seeded labels each, so file sizes
+    (and the pool's largest-first order) differ from the argument order."""
+    rng = random.Random(seed)
+    return [human_sidecar(tmp_path, f"{prefix}{i:02d}.json", f"{i:064x}",
+                          rng.choices(_WORDS, k=rng.randint(1, 6)), source=source)
+            for i in range(n)]
+
+
+class _SizedPool(ProcessPoolExecutor):
+    """The real pool, noting its size."""
+
+    made: list = []
+
+    def __init__(self, max_workers, *args, **kwargs):
+        self.made.append(max_workers)
+        super().__init__(max_workers, *args, **kwargs)
+
+
+@pytest.fixture()
+def sized_pool(monkeypatch):
+    from treatise import cli
+
+    monkeypatch.setattr(_SizedPool, "made", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SizedPool)
+    return _SizedPool.made
+
+
+def _with_cpus(monkeypatch, cpus):
+    from treatise import cli
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+
+
+def test_index_is_the_same_for_one_worker_or_a_pool(tmp_path, capsys, monkeypatch,
+                                                    sized_pool):
+    sidecars = _labeled(tmp_path, "s", 40, 1)
+    changed = _labeled(tmp_path, "u", 12, 2)  # the first 12 images, labelled anew
+    # both sidecars of an image, the larger one last: it wins, though a
+    # pool reads it first
+    both = [path for pair in zip(sidecars, changed) for path in sorted(pair, key=os.path.getsize)]
+    idx = tmp_path / "idx.json"
+    runs = []
+    for cpus in (1, 2):
+        _with_cpus(monkeypatch, cpus)
+        if idx.exists():
+            idx.unlink()
+        outputs = []
+        for argv in (["--force", *sidecars],
+                     [*changed[::2], *sidecars[30:]],
+                     ["--force", sidecars[20], *both, sidecars[20]]):
+            outputs.append((*run(capsys, "index", "--index", str(idx), *argv),
+                            idx.read_bytes()))
+        runs.append(outputs)
+        assert not multiprocessing.active_children()
+    assert runs[0] == runs[1]
+    assert [out[:2] for out in runs[0]] == [(0, "")] * 3
+    assert sized_pool == [2, 2, 2]
+
+
+def _eval_argv(preds, truths, report):
+    argv = ["eval", "--glossary", GLOSSARY, "--ontology", ONTOLOGY, "--out", str(report)]
+    for pred, truth in zip(preds, truths):
+        argv += ["--pred", pred, "--truth", truth]
+    return argv
+
+
+def test_eval_is_the_same_for_one_worker_or_a_pool(tmp_path, capsys, monkeypatch,
+                                                   sized_pool):
+    argv = _eval_argv(_labeled(tmp_path, "p", 40, 3),
+                      _labeled(tmp_path, "t", 40, 4, source="human"),
+                      tmp_path / "report.json")
+    runs = []
+    for cpus in (1, 2):
+        _with_cpus(monkeypatch, cpus)
+        runs.append((*run(capsys, *argv), (tmp_path / "report.json").read_bytes()))
+        assert not multiprocessing.active_children()
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and len(runs[0][1].splitlines()) == 42
+    assert sized_pool == [2]
+
+
+def _spoil(path, fault):
+    if fault == "missing":
+        os.unlink(path)
+    else:
+        with open(path, "w") as fh:
+            fh.write('{"schema_version": 1}')
+
+
+@pytest.mark.parametrize("command, fault", [
+    ("index", "bad sidecar"), ("index", "missing"),
+    ("eval", "bad sidecar"), ("eval", "missing"), ("eval", "bad truth")])
+def test_a_bad_input_fails_a_pool_as_it_fails_one_worker(tmp_path, capsys, monkeypatch,
+                                                         command, fault):
+    preds = _labeled(tmp_path, "p", 40, 5)
+    truths = _labeled(tmp_path, "t", 40, 6, source="human")
+    out_path = tmp_path / ("idx.json" if command == "index" else "report.json")
+    out_path.write_bytes(b"earlier output\n")
+    if command == "index":
+        argv = ["index", "--index", str(out_path), "--force", *preds]
+    else:
+        argv = _eval_argv(preds, truths, out_path)
+    # the first fault in argument order is the one reported, though a pool
+    # reads the later, larger one first
+    _spoil((truths if fault == "bad truth" else preds)[25], fault)
+    with open(preds[33], "w") as fh:
+        fh.write("[" + " " * 50000 + "]")
+    runs = []
+    for cpus in (1, 2):
+        _with_cpus(monkeypatch, cpus)
+        runs.append(run(capsys, *argv))
+        assert out_path.read_bytes() == b"earlier output\n"
+        assert not multiprocessing.active_children()
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    named = (truths if fault == "bad truth" else preds)[25]
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("command", ["index", "eval"])
+def test_a_worker_that_dies_fails_the_command(tmp_path, capsys, monkeypatch, command):
+    # the patch is forked into the workers; the one that takes image 7 ends at once
+    from treatise import evaluation, retrieval
+
+    preds = _labeled(tmp_path, "p", 20, 7)
+    out_path = tmp_path / ("idx.json" if command == "index" else "report.json")
+    if command == "index":
+        real, owner, name = retrieval.record_docs, retrieval, "record_docs"
+        argv = ["index", "--index", str(out_path), *preds]
+    else:
+        real, owner, name = evaluation.evaluate, evaluation, "evaluate"
+        argv = _eval_argv(preds, _labeled(tmp_path, "t", 20, 8, source="human"), out_path)
+
+    def dying(record, *args, **kwargs):
+        if record.image_id == f"{7:064x}":
+            os._exit(1)
+        return real(record, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, dying)
+    _with_cpus(monkeypatch, 2)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: worker process ended abruptly\n")
+    assert not out_path.exists()
+    assert not multiprocessing.active_children()
+
+
+def test_search_loads_no_pool_machinery(tmp_path, capsys):
+    idx = str(tmp_path / "idx.json")
+    assert run(capsys, "index", "--index", idx,
+               human_sidecar(tmp_path, "a.json", "a" * 64, ["keel"]))[0] == 0
+    script = ("import sys\n"
+              "from treatise.cli import main\n"
+              f"assert main(['search', '--index', {idx!r}, '--query', 'keel']) == 0\n"
+              "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+              " & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -1,4 +1,6 @@
 import json
+import random
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,18 @@ class TestNormalize:
             ref = " ".join(oracles._normalize_word(w) for w in collapsed.split())
             # oracle lowercases inside _normalize_word
             assert got == ref
+
+
+    def test_ascii_shortcut_matches_the_unicode_path(self):
+        # NFKD and the mark filter are skipped for ASCII, which they leave as it is
+        rng = random.Random(7)
+        alphabet = "abcXYZsehx019-'.,;_" + " " * 6 + "\t\n\r\x0b\x0c\x1c\x1f"
+        for _ in range(2000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(40)))
+            decomposed = unicodedata.normalize("NFKD", text)
+            assert "".join(c for c in decomposed if not unicodedata.combining(c)) == text
+            assert normalize_term(text) == " ".join(
+                oracles._normalize_word(w) for w in text.split())
 
 
 MINI = {

@@ -26,6 +26,7 @@ from treatise.retrieval import (
     index_to_obj,
     load_index,
     matched_documents,
+    record_docs,
     save_index,
     search,
 )
@@ -119,6 +120,54 @@ def test_remove_image_is_exact_not_prefix_based():
     index.remove_image("abc")
     assert set(index.docs) == {"abcd#1", "abcd"}
     assert set(index.postings["keel"]) == {"abcd#1", "abcd"}
+
+
+def test_record_docs_are_what_index_record_adds():
+    record = make_record("img", {1: [("keel", None)], 2: [], 3: [("scarf", "joint")]},
+                         caption="Ships")
+    docs = record_docs(record)
+    assert [doc_id for doc_id, _ in docs] == ["img#1", "img#2", "img#3", "img"]
+    assert docs[-1][1] == ["ship", "keel", "scarf", "joint"]
+    index = Index()
+    index.add_image("img", docs)
+    assert index == index_record(Index(), record)
+
+
+def _remove_by_prefix(index, image_id):
+    """The removal rule by a scan of every doc id, as the index did before
+    it grouped doc ids by image."""
+    stale = [d for d in index.docs if d == image_id or d.startswith(image_id + "#")]
+    for doc_id in stale:
+        del index.docs[doc_id]
+    for tok, plist in list(index.postings.items()):
+        for doc_id in stale:
+            plist.pop(doc_id, None)
+        if not plist:
+            del index.postings[tok]
+
+
+def test_remove_image_matches_the_prefix_scan_on_random_ids():
+    # ids that are prefixes of one another, and images whose docs come and go
+    rng = random.Random(11)
+    ids = ["".join(rng.choice("ab") for _ in range(rng.randint(1, 4))) for _ in range(40)]
+    words = ["keel", "scarf", "frame", "knee", "rib"]
+    for _ in range(30):
+        index, reference = Index(), Index()
+        for _ in range(rng.randint(1, 25)):
+            image_id = rng.choice(ids)
+            docs = [(f"{image_id}#{s}", rng.choices(words, k=rng.randint(0, 3)))
+                    for s in rng.sample(range(1, 9), rng.randint(0, 3))]
+            docs.append((image_id, rng.choices(words, k=rng.randint(0, 4))))
+            for idx, remove in ((index, Index.remove_image), (reference, _remove_by_prefix)):
+                if image_id in idx.docs:
+                    remove(idx, image_id)
+                for doc_id, tokens in docs:
+                    idx._add_doc(doc_id, tokens)
+            assert index == reference
+        for image_id in rng.sample(ids, 10):
+            index.remove_image(image_id)
+            _remove_by_prefix(reference, image_id)
+            assert index == reference
 
 
 def test_insertion_order_does_not_change_the_snapshot():
