@@ -263,21 +263,21 @@ def __getattr__(name):
 _BATCHES_PER_WORKER = 8
 
 
-def _corpus_results(task, items, job, workers=None):
+def _corpus_results(task, items, job, workers=None, per_worker=1):
     """Each item with `task(item, *job)` or its _Failure, in input order, as
     they come. With more than one worker (`workers`, else one per usable CPU,
-    at most one per item) the items run in a pool of forked processes: they
-    inherit the task and job, so only items and results cross the pipe. The
-    pool takes the largest input first (LPT order), in batches."""
+    with at least `per_worker` items each) the items run in a pool of forked
+    processes: they inherit the task and job, so only items and results cross
+    the pipe. The pool takes the largest input first (LPT order), in batches."""
     this = sys.modules[__name__]  # the pool machinery, through __getattr__
-    size = min(workers or _usable_cpus(), len(items))
+    size = min(workers or _usable_cpus(), len(items) // per_worker)
     if size <= 1 or "fork" not in this.multiprocessing.get_all_start_methods():
         for item in items:
             yield item, _attempt(task, item, job)
         return
     from concurrent.futures.process import BrokenProcessPool
 
-    order = sorted(range(len(items)), key=lambda i: _input_bytes(items[i]), reverse=True)
+    order = sorted(range(len(items)), key=lambda i: _file_size(items[i]), reverse=True)
     rank = {i: r for r, i in enumerate(order)}
     step = max(1, len(items) // (size * _BATCHES_PER_WORKER))  # items per batch
     pool = this.ProcessPoolExecutor(size, this.multiprocessing.get_context("fork"),
@@ -330,13 +330,11 @@ def _value(outcome):
     return outcome
 
 
-def _input_bytes(item) -> int:
-    """Bytes in the item's file, or files for a tuple of paths; 0 for a missing one."""
-    total = 0
-    for path in (item,) if isinstance(item, str) else item:
-        with suppress(OSError):
-            total += os.path.getsize(path)
-    return total
+def _file_size(path) -> int:
+    try:
+        return os.path.getsize(path)
+    except OSError:
+        return 0
 
 
 def _usable_cpus() -> int:
@@ -389,12 +387,18 @@ def _cmd_index(args) -> int:
         index = retrieval.load_index(index_path)
     else:
         index = retrieval.Index()
-    with closing(_corpus_results(_sidecar_docs, args.sidecars, ())) as results:
+    with closing(_corpus_results(_sidecar_docs, args.sidecars, (),
+                                 per_worker=_SIDECARS_PER_WORKER)) as results:
         for _, outcome in results:
             index.add_image(*_value(outcome))
     retrieval.save_index(index, index_path)
     _err(f"{index.doc_count} documents -> {index_path}")
     return EXIT_OK
+
+
+# a 2-worker pool first paid for its start and stop between 64 and 100
+# sidecars (2-core Xeon); below this many a worker, index reads them here
+_SIDECARS_PER_WORKER = 50
 
 
 def _sidecar_docs(path) -> tuple:
@@ -426,9 +430,12 @@ def _cmd_eval(args) -> int:
         raise UsageError("eval needs matching --pred/--truth pairs")
     glossary = _knowledge(args, cfg, "glossary") or lexicon.Glossary({}, {})
     onto = _knowledge(args, cfg, "ontology") or ontology.Ontology({}, ())
-    job = (glossary, onto, args.iou_threshold)
-    with closing(_corpus_results(_pair_report, list(zip(preds, truths)), job)) as results:
-        reports = [_value(outcome) for _, outcome in results]
+    reports = []
+    for pred_path, truth_path in zip(preds, truths):
+        predicted = _read("sidecar", pred_path, read_sidecar)
+        truth = _read("truth", truth_path, evaluation.load_truth)
+        reports.append(evaluation.evaluate(
+            predicted, truth, glossary, onto, iou_threshold=args.iou_threshold))
     overall = evaluation.aggregate(reports, macro=args.macro)
     print(evaluation.format_report_table(reports + [overall]))
     if args.out:
@@ -438,12 +445,6 @@ def _cmd_eval(args) -> int:
         }
         atomic_write(args.out, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
     return EXIT_OK
-
-
-def _pair_report(pair, glossary, onto, iou_threshold):
-    predicted = _read("sidecar", pair[0], read_sidecar)
-    truth = _read("truth", pair[1], evaluation.load_truth)
-    return evaluation.evaluate(predicted, truth, glossary, onto, iou_threshold=iou_threshold)
 
 
 def _cmd_overlay(args) -> int:

@@ -194,30 +194,29 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _Server(ThreadingHTTPServer):
-    """Keeps each open connection's handler thread, so that closing the
-    server can end the connections a client keeps alive."""
+    """Ends the connections a client keeps alive when it closes, so that
+    closing joins every handler thread."""
+
+    daemon_threads = False  # server_close joins them
 
     def __init__(self, address):
         super().__init__(address, _Handler)
-        self._open: dict = {}  # request socket -> its handler thread
+        self._open: set = set()  # request sockets not yet shut down
 
     def process_request(self, request, client_address):
-        thread = threading.Thread(target=self.process_request_thread,
-                                  args=(request, client_address), daemon=True)
-        self._open[request] = thread
-        thread.start()
+        self._open.add(request)
+        super().process_request(request, client_address)
 
     def shutdown_request(self, request):
-        self._open.pop(request, None)
+        self._open.discard(request)
         super().shutdown_request(request)
 
     def server_close(self):
-        super().server_close()
         # a handler waiting for the next request reads end of file and returns
-        for request, thread in self._open.copy().items():
+        for request in self._open.copy():
             with suppress(OSError):
                 request.shutdown(socket.SHUT_RDWR)
-            thread.join(timeout=5)
+        super().server_close()
 
 
 class MockBackendServer:
@@ -251,7 +250,10 @@ class MockBackendServer:
         return self
 
     def serve_forever(self):
-        self._httpd.serve_forever()
+        try:
+            self._httpd.serve_forever()
+        finally:
+            self._httpd.server_close()
 
     def stop(self):
         self._httpd.shutdown()

@@ -318,11 +318,11 @@ class TestLiveServer:
         # each cycle leaves an idle kept-alive connection in the client; its
         # handler thread must not outlive the server
         blob = make_pgm([[1, 2], [3, 4]])
-        threads = threading.active_count()
+        before = set(threading.enumerate())  # other servers' threads may end meanwhile
         for _ in range(5):
             with MockBackendServer() as srv:
                 assert BackendClient(srv.endpoints).caption(blob) == {"caption": FALLBACK_CAPTION}
-        assert threading.active_count() == threads
+        assert set(threading.enumerate()) <= before
 
     def test_oversized_body_gets_413_unread(self):
         # only the header claims the size: no body is sent, none is read
@@ -397,7 +397,6 @@ class TestRedirects:
 # a call in a fresh interpreter, so that the proxy variables are read at import
 PROXY_CALL = """
 import sys
-import threading
 from treatise.backends import BackendClient
 try:
     print(BackendClient({"caption": sys.argv[1]}, backoff=0.0).caption(b"i")["caption"])

@@ -1220,6 +1220,30 @@ def test_mock_serve_rejects_bad_fixture_table(tmp_path, capsys):
     assert run(capsys, "mock-serve", "--fixtures", str(path))[0] == 2
 
 
+def test_mock_serve_exits_on_interrupt_with_a_connection_kept_alive():
+    import http.client
+    import signal
+
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "treatise.cli", "mock-serve", "--port", "0"],
+                            stderr=subprocess.PIPE, env=env)
+    try:
+        # stderr names one endpoint per line: "<stage>: http://host:port/v1/<stage>"
+        host, path = proc.stderr.readline().decode().split("//", 1)[1].strip().split("/", 1)
+        conn = http.client.HTTPConnection(host, timeout=10)
+        conn.request("POST", "/" + path, body=b"{}")
+        reply = conn.getresponse()
+        reply.read()
+        assert not reply.will_close  # its handler thread waits for the next request
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+        conn.close()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
 # ------------------------------------------------------------ numeric flag ranges
 
 @pytest.mark.parametrize("argv, flag", [
@@ -1388,17 +1412,17 @@ def test_mutated_input_files_exit_0_or_2_with_one_line(tmp_path, capsys, kind, e
             assert err.startswith(f"error: {kind} {path}: ")
 
 
-# ------------------------------------------------------------ index and eval in workers
+# ------------------------------------------------------------ index in workers
 
 _WORDS = ["keel", "sternpost", "frame", "knee", "scarf", "rib", "quilha"]
 
 
-def _labeled(tmp_path, prefix, n, seed, source="tagger"):
+def _labeled(tmp_path, prefix, n, seed):
     """n one-segment sidecars with 1 to 6 seeded labels each, so file sizes
     (and the pool's largest-first order) differ from the argument order."""
     rng = random.Random(seed)
     return [human_sidecar(tmp_path, f"{prefix}{i:02d}.json", f"{i:064x}",
-                          rng.choices(_WORDS, k=rng.randint(1, 6)), source=source)
+                          rng.choices(_WORDS, k=rng.randint(1, 6)), source="tagger")
             for i in range(n)]
 
 
@@ -1421,10 +1445,13 @@ def sized_pool(monkeypatch):
     return _SizedPool.made
 
 
-def _with_cpus(monkeypatch, cpus):
+def _with_cpus(monkeypatch, cpus, sidecars_per_worker=1):
+    """`cpus` usable CPUs; a pool for index calls of at least
+    `sidecars_per_worker` sidecars a worker, so small inputs start one."""
     from treatise import cli
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_SIDECARS_PER_WORKER", sidecars_per_worker)
 
 
 def test_index_is_the_same_for_one_worker_or_a_pool(tmp_path, capsys, monkeypatch,
@@ -1453,26 +1480,17 @@ def test_index_is_the_same_for_one_worker_or_a_pool(tmp_path, capsys, monkeypatc
     assert sized_pool == [2, 2, 2]
 
 
-def _eval_argv(preds, truths, report):
-    argv = ["eval", "--glossary", GLOSSARY, "--ontology", ONTOLOGY, "--out", str(report)]
-    for pred, truth in zip(preds, truths):
-        argv += ["--pred", pred, "--truth", truth]
-    return argv
+def test_index_starts_a_pool_only_for_enough_sidecars(tmp_path, capsys, monkeypatch,
+                                                      sized_pool):
+    from treatise import cli
 
-
-def test_eval_is_the_same_for_one_worker_or_a_pool(tmp_path, capsys, monkeypatch,
-                                                   sized_pool):
-    argv = _eval_argv(_labeled(tmp_path, "p", 40, 3),
-                      _labeled(tmp_path, "t", 40, 4, source="human"),
-                      tmp_path / "report.json")
-    runs = []
-    for cpus in (1, 2):
-        _with_cpus(monkeypatch, cpus)
-        runs.append((*run(capsys, *argv), (tmp_path / "report.json").read_bytes()))
-        assert not multiprocessing.active_children()
-    assert runs[0] == runs[1]
-    assert runs[0][0] == 0 and len(runs[0][1].splitlines()) == 42
-    assert sized_pool == [2]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(cli, "_SIDECARS_PER_WORKER", 10)
+    sidecars = _labeled(tmp_path, "s", 30, 3)
+    idx = str(tmp_path / "idx.json")
+    for n in (1, 19, 20, 30):
+        assert run(capsys, "index", "--index", idx, "--force", *sidecars[:n])[0] == 0
+    assert sized_pool == [2, 3]  # none below 2 workers' worth; 30 sidecars fill 3
 
 
 def _spoil(path, fault):
@@ -1483,61 +1501,46 @@ def _spoil(path, fault):
             fh.write('{"schema_version": 1}')
 
 
-@pytest.mark.parametrize("command, fault", [
-    ("index", "bad sidecar"), ("index", "missing"),
-    ("eval", "bad sidecar"), ("eval", "missing"), ("eval", "bad truth")])
-def test_a_bad_input_fails_a_pool_as_it_fails_one_worker(tmp_path, capsys, monkeypatch,
-                                                         command, fault):
-    preds = _labeled(tmp_path, "p", 40, 5)
-    truths = _labeled(tmp_path, "t", 40, 6, source="human")
-    out_path = tmp_path / ("idx.json" if command == "index" else "report.json")
-    out_path.write_bytes(b"earlier output\n")
-    if command == "index":
-        argv = ["index", "--index", str(out_path), "--force", *preds]
-    else:
-        argv = _eval_argv(preds, truths, out_path)
+@pytest.mark.parametrize("fault", ["bad sidecar", "missing"])
+def test_a_bad_sidecar_fails_a_pool_as_it_fails_one_worker(tmp_path, capsys, monkeypatch,
+                                                           fault):
+    sidecars = _labeled(tmp_path, "s", 40, 5)
+    idx = tmp_path / "idx.json"
+    idx.write_bytes(b"earlier output\n")
     # the first fault in argument order is the one reported, though a pool
     # reads the later, larger one first
-    _spoil((truths if fault == "bad truth" else preds)[25], fault)
-    with open(preds[33], "w") as fh:
+    _spoil(sidecars[25], fault)
+    with open(sidecars[33], "w") as fh:
         fh.write("[" + " " * 50000 + "]")
     runs = []
     for cpus in (1, 2):
         _with_cpus(monkeypatch, cpus)
-        runs.append(run(capsys, *argv))
-        assert out_path.read_bytes() == b"earlier output\n"
+        runs.append(run(capsys, "index", "--index", str(idx), "--force", *sidecars))
+        assert idx.read_bytes() == b"earlier output\n"
         assert not multiprocessing.active_children()
     assert runs[0] == runs[1]
     code, out, err = runs[0]
     assert (code, out, err.count("\n")) == (2, "", 1)
-    named = (truths if fault == "bad truth" else preds)[25]
-    assert err.startswith("error: ") and named in err
+    assert err.startswith("error: ") and sidecars[25] in err
 
 
-@pytest.mark.parametrize("command", ["index", "eval"])
-def test_a_worker_that_dies_fails_the_command(tmp_path, capsys, monkeypatch, command):
+def test_a_worker_that_dies_fails_the_index(tmp_path, capsys, monkeypatch):
     # the patch is forked into the workers; the one that takes image 7 ends at once
-    from treatise import evaluation, retrieval
+    from treatise import retrieval
 
-    preds = _labeled(tmp_path, "p", 20, 7)
-    out_path = tmp_path / ("idx.json" if command == "index" else "report.json")
-    if command == "index":
-        real, owner, name = retrieval.record_docs, retrieval, "record_docs"
-        argv = ["index", "--index", str(out_path), *preds]
-    else:
-        real, owner, name = evaluation.evaluate, evaluation, "evaluate"
-        argv = _eval_argv(preds, _labeled(tmp_path, "t", 20, 8, source="human"), out_path)
+    real = retrieval.record_docs
 
-    def dying(record, *args, **kwargs):
+    def dying(record):
         if record.image_id == f"{7:064x}":
             os._exit(1)
-        return real(record, *args, **kwargs)
+        return real(record)
 
-    monkeypatch.setattr(owner, name, dying)
+    monkeypatch.setattr(retrieval, "record_docs", dying)
     _with_cpus(monkeypatch, 2)
-    code, out, err = run(capsys, *argv)
+    idx = tmp_path / "idx.json"
+    code, out, err = run(capsys, "index", "--index", str(idx), *_labeled(tmp_path, "s", 20, 7))
     assert (code, out, err) == (2, "", "error: worker process ended abruptly\n")
-    assert not out_path.exists()
+    assert not idx.exists()
     assert not multiprocessing.active_children()
 
 
