@@ -266,9 +266,18 @@ def gradient_magnitude(grid: ImageGrid) -> ImageGrid:
     f = np.pad(grid.pixels, 1, mode="edge").astype(np.int16)
     # separable kernels: gx differences the column-smoothed frame along x,
     # gy the row-smoothed frame along y
-    col = f[:-2] + 2 * f[1:-1] + f[2:]
-    row = f[:, :-2] + 2 * f[:, 1:-1] + f[:, 2:]
-    return ImageGrid(_sobel_magnitude(col[:, 2:] - col[:, :-2], row[2:] - row[:-2]))
+    col = f[1:-1] * 2
+    col += f[:-2]
+    col += f[2:]
+    row = f[:, 1:-1] * 2
+    row += f[:, :-2]
+    row += f[:, 2:]
+    del f
+    gx = col[:, 2:] - col[:, :-2]
+    del col
+    gy = row[2:] - row[:-2]
+    del row
+    return ImageGrid(_sobel_magnitude(gx, gy))
 
 
 def _sobel_magnitude(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
@@ -276,9 +285,12 @@ def _sobel_magnitude(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     clamped at 255, from 4 * gx and 4 * gy as exact ints in [-1020, 1020]."""
     # float32 rounds alike: the root of an integer is either exactly a
     # half-way point 4k + 2 or farther from it than float32's error
-    square = np.square(gx, dtype=np.int32) + np.square(gy, dtype=np.int32)
-    mag = np.sqrt(square, dtype=np.float32)
-    return np.minimum((mag + 2) // 4, 255).astype(np.uint8)
+    # the sum broadcasts (gx, gy) pairs, so it alone is out of place
+    mag = np.sqrt(np.square(gx, dtype=np.int32) + np.square(gy, dtype=np.int32),
+                  dtype=np.float32)
+    mag += 2
+    mag //= 4
+    return np.minimum(mag, 255, out=mag).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +374,18 @@ class WatershedInputError(ValueError):
     """Grid and marker dimensions disagree, or no markers were given."""
 
 
+# the most pixels of a level's first wave gathered at once: the gather takes
+# 48 bytes per pixel, and a flat gradient level can be half the page
+_WAVE_CHUNK = 2**14
+
+
+def _basins(labels: np.ndarray, near: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest and smallest basin (label minus one) at the (4, n) flat
+    indices `near`; the sentinels -1 and -2 read as the largest uint32."""
+    got = labels[near]
+    return got.max(axis=0), got.view(np.uint32).min(axis=0).view(np.int32)
+
+
 def watershed(grid: ImageGrid, markers: MarkerMap) -> SegmentMap:
     """Marker-controlled immersion watershed.
 
@@ -383,6 +407,8 @@ def watershed(grid: ImageGrid, markers: MarkerMap) -> SegmentMap:
     pixel of it touches a basin. A level's first wave starts from that
     level's own pixels only, because pixels left pending by lower levels
     have no labelled neighbour; it alone drops the pixels no basin reaches.
+    It gathers at most `_WAVE_CHUNK` pixels at a time, so its peak memory
+    does not grow with the size of the level.
     """
     if (grid.height, grid.width) != (markers.height, markers.width):
         raise WatershedInputError("grid and marker dimensions disagree")
@@ -399,17 +425,19 @@ def watershed(grid: ImageGrid, markers: MarkerMap) -> SegmentMap:
     pending = np.zeros(labels.size, dtype=bool)
     stamp = np.zeros(labels.size, dtype=np.int32)
 
-    for front in np.split(todo, cuts):
-        pending[front] = True
-        first = True
-        while front.size:
-            near = labels[front + offsets]
-            hi = near.max(axis=0)
-            lo = near.view(np.uint32).min(axis=0).view(np.int32)
-            if first:
-                reached = hi >= 0
-                front, hi, lo = front[reached], hi[reached], lo[reached]
-                first = False
+    for level in np.split(todo, cuts) if todo.size else ():
+        pending[level] = True
+        # the first wave reads the level in slices, keeping the pixels some
+        # basin reaches; no label is written until every slice is read
+        parts = []
+        for start in range(0, level.size, _WAVE_CHUNK):
+            front = level[start : start + _WAVE_CHUNK]
+            hi, lo = _basins(labels, front + offsets)
+            reached = hi >= 0
+            parts.append((front[reached], hi[reached], lo[reached]))
+        front, hi, lo = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        del parts
+        while True:
             won = lo == hi
             labels[front] = np.where(won, hi, -2)
             pending[front] = False
@@ -419,6 +447,9 @@ def watershed(grid: ImageGrid, markers: MarkerMap) -> SegmentMap:
             order = np.arange(grown.size, dtype=np.int32)
             stamp[grown] = order
             front = grown[stamp[grown] == order]
+            if not front.size:
+                break
+            hi, lo = _basins(labels, front + offsets)
     # line pixels and unreached pixels are divide territory
     return SegmentMap(np.maximum(labels.reshape(-1, stride)[1:-1, 1:-1], -1) + 1)
 

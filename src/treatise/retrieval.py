@@ -210,11 +210,13 @@ def matched_documents(index: Index, query: Query) -> set:
 
 
 def index_to_obj(index: Index) -> dict:
+    """The snapshot object of the index. It shares the index's own `docs`
+    and `postings` dicts rather than copying them."""
     return {
         "schema_version": 1,
         "doc_count": index.doc_count,
-        "docs": dict(index.docs),
-        "postings": {t: dict(p) for t, p in index.postings.items()},
+        "docs": index.docs,
+        "postings": index.postings,
     }
 
 
@@ -228,6 +230,9 @@ def _all_counts(values) -> bool:
 
 
 def index_from_obj(doc: dict) -> Index:
+    """The index a snapshot object describes. Once checked, the object's
+    `docs` and `postings` dicts become the index's own, shared rather than
+    copied."""
     if not isinstance(doc, dict) or not isinstance(doc.get("docs"), dict) \
             or not isinstance(doc.get("postings"), dict):
         raise ValueError("snapshot must carry docs and postings objects")
@@ -235,9 +240,8 @@ def index_from_obj(doc: dict) -> Index:
     if not _all_counts(docs.values()):
         bad = next(doc_id for doc_id, n in docs.items() if not _is_count(n))
         raise ValueError(f"length of document {bad!r} must be a non-negative integer")
-    index = Index()
-    index.docs = dict(docs)
-    for tok, plist in doc["postings"].items():
+    postings = doc["postings"]
+    for tok, plist in postings.items():
         if not isinstance(plist, dict):
             raise ValueError(f"postings for {tok!r} must be an object")
         if not (plist.keys() <= docs.keys() and _all_counts(plist.values())):
@@ -246,7 +250,8 @@ def index_from_obj(doc: dict) -> Index:
                     raise ValueError(f"posting for unknown document {doc_id!r}")
                 if not _is_count(tf):
                     raise ValueError(f"tf of {doc_id!r} under {tok!r} must be a non-negative integer")
-        index.postings[tok] = dict(plist)
+    index = Index()
+    index.docs, index.postings = docs, postings
     return index
 
 

@@ -7,15 +7,17 @@ segment handling, detection binding, and provenance honesty.
 
 import base64
 import hashlib
+import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import make_pgm
-from treatise import fixtures, lexicon
+from treatise import fixtures, lexicon, raster
 from treatise.backends import BackendClient, WireSchemaError
 from treatise.catalog import (
     LabelAssignment,
@@ -341,6 +343,35 @@ def test_native_h_threshold_merges_shallow_basins():
     assert sorted(s.area for s in fine.segments) == [1, 3]
     assert [s.area for s in coarse.segments] == [5]
     assert coarse.segments[0].bbox == BoundingBox(0, 0, 5, 1)
+
+
+def _traced_peak(fn, *args):
+    """The peak bytes Python and numpy allocated while `fn(*args)` ran."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_native_figure_page_peak_bytes_per_pixel():
+    # a 512 x 512 figure page: flat background, dark plates and rules, so
+    # that the gradient's flat level is nearly the whole page
+    px = np.full((512, 512), 225, dtype=np.uint8)
+    for x, y, w, h, v in ((40, 50, 120, 90, 40), (300, 60, 150, 140, 60),
+                          (80, 300, 100, 160, 50), (320, 330, 140, 110, 70)):
+        px[y : y + h, x : x + w] = v
+    px[250:253, 20:490] = 60
+    px[20:490, 250:253] = 80
+    px[400:403, 10:200] = 30
+    grid = raster.ImageGrid(px)
+    img = raster.encode_pgm(grid)
+    relief = raster.gradient_magnitude(grid)
+    markers = raster.regional_minima_markers(grid, 4)
+    assert _traced_peak(run_pipeline, img, PipelineConfig(method="native", h_threshold=4)) \
+        <= 40 * px.size
+    assert _traced_peak(raster.watershed, relief, markers) <= 32 * px.size
 
 
 # ------------------------------------------------------- wire methods

@@ -419,6 +419,31 @@ class TestWatershed:
             got = watershed(grid, markers).labels.tolist()
             assert got == oracles.watershed_oracle(rows, labels)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_oracle_equivalence_across_first_wave_slices(self, monkeypatch, chunk):
+        # a level's first wave is read `_WAVE_CHUNK` pixels at a time: plateaus
+        # many slices long, basins that reach one level on both sides of a
+        # slice edge, and grids with no pixel left to flood
+        monkeypatch.setattr(raster, "_WAVE_CHUNK", chunk)
+        rng = random.Random(chunk)
+        cases = [
+            ([[0, 5, 5, 5, 5, 0]], [[1, 0, 0, 0, 0, 2]]),
+            ([[0, 5, 5, 5, 5, 5, 5, 5, 0]], [[1, 0, 0, 0, 0, 0, 0, 0, 2]]),
+            ([[4, 4, 4], [4, 4, 4]], [[1, 2, 3], [4, 5, 6]]),
+            ([[7] * 5] * 4, None),
+        ]
+        for _ in range(40):
+            w, h = rng.randint(1, 12), rng.randint(1, 12)
+            rows = random_grid(rng, w, h, 0, 2)
+            labels = [[0] * w for _ in range(h)]
+            for k in range(1, rng.randint(1, 4) + 1):
+                labels[rng.randrange(h)][rng.randrange(w)] = k
+            cases += [(rows, None), (rows, labels)]
+        for rows, labels in cases:
+            grid, markers = ws_pair(rows, labels)
+            got = watershed(grid, markers).labels.tolist()
+            assert got == oracles.watershed_oracle(rows, markers.labels.tolist())
+
 
 # ---------------------------------------------------------------------------
 # RLE
