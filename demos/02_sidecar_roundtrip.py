@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 from treatise.catalog import (
-    load_sidecar,
+    read_sidecar,
     render_overlay,
     sidecar_path,
     validate_record,
@@ -46,7 +46,7 @@ def main(workdir: Path):
     print(f"{len(obj['segments'])} segments, image_id {obj['image_id'][:12]}...")
 
     # reading back gives an identical record
-    again = load_sidecar(out)
+    again = read_sidecar(Path(out).read_bytes())
     assert again == record
     print("read-back record equals the original")
 

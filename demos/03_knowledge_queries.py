@@ -1,15 +1,17 @@
 """Query the packaged glossary and concept graph.
 
 The glossary maps surface forms in several languages to shared entries; the
-ontology relates concepts by is_a, part_of, and related_to and attaches a
-spatial hull zone to some of them. Run with:
+ontology relates concepts by is_a, part_of, and related_to, and links some
+of them to glossary entries, which is how a label gets its concept. Run with:
 
     python3 demos/03_knowledge_queries.py
 """
 
 from treatise import fixtures, lexicon
+from treatise.catalog import LabelAssignment
 from treatise.evaluation import label_score
-from treatise.ontology import ancestors, context_bundle, related, spatial_zone
+from treatise.ontology import ancestors, related
+from treatise.pipeline import enrich_labels
 
 
 def main():
@@ -29,14 +31,14 @@ def main():
     print("\nconcept facts for RiderFrame:")
     print("  ancestors:", ancestors(graph, "RiderFrame"))
     print("  related:", sorted(related(graph, "RiderFrame")))
-    bundle = context_bundle(graph, "RiderFrame")
-    print("  excluded siblings:", sorted(bundle.excluded))
-    print("  human-readable:", ", ".join(bundle.ancestor_labels))
 
-    # Heel carries no zone of its own; it inherits one through part_of
-    zone, inherited = spatial_zone(graph, "Heel")
-    print(f"\nHeel sits in the {zone!r} zone"
-          f" ({'inherited' if inherited else 'its own'})")
+    # a label whose text hits a glossary entry linked to a concept gets
+    # that concept and the entry's definition
+    print('\nglossary entry "keel" links to concepts', graph.concepts_for_gloss("keel"))
+    labels = {1: (LabelAssignment(text="quilha", source="human"),)}
+    enriched = enrich_labels(labels, glossary, graph)[1][0]
+    print(f'  the label "quilha" gets concept {enriched.concept_id}'
+          f" and definition {enriched.definition!r}")
 
     frames = fixtures.frames_glossary()
     print("\nlabel agreement scores (1 exact, 0.5 subsumed, 0.25 related):")

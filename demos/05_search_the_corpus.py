@@ -42,8 +42,10 @@ def show(title, hits):
     if not hits:
         print("  (no matches)")
     for rank, hit in enumerate(hits, start=1):
-        where = f"segment {hit.segment_id}" if hit.segment_id else "whole page"
-        print(f"  {rank}. {hit.doc_id[:12]}... ({where})  score={hit.score:.3f}")
+        # a segment's doc id is "<image id>#<segment id>"; the page's is the image id
+        image_id, _, segment_id = hit.doc_id.partition("#")
+        where = f"segment {segment_id}" if segment_id else "whole page"
+        print(f"  {rank}. {image_id[:12]}... ({where})  score={hit.score:.3f}")
 
 
 def main():

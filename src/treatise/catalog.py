@@ -512,11 +512,6 @@ def read_sidecar(data: bytes | str, image_bytes: bytes | None = None) -> ImageRe
     return record
 
 
-def load_sidecar(path) -> ImageRecord:
-    with open(path, "rb") as fh:
-        return read_sidecar(fh.read())
-
-
 def sidecar_path(image_path) -> str:
     return os.fspath(image_path) + ".segments.json"
 
@@ -555,19 +550,11 @@ class Treatise:
     year: int
     images: tuple
 
-    @property
-    def count(self) -> int:
-        return len(self.images)
-
 
 @dataclass(frozen=True)
 class CorpusManifest:
     treatises: tuple
     year_range: tuple | None = None
-
-    @property
-    def total_images(self) -> int:
-        return sum(t.count for t in self.treatises)
 
 
 def load_manifest(data: bytes | str) -> CorpusManifest:

@@ -415,8 +415,9 @@ def _cmd_search(args) -> int:
     if args.expand:
         glossary = _knowledge(args, cfg, "glossary", "--expand needs --glossary (flag or config)")
         onto = _knowledge(args, cfg, "ontology")
-    query = retrieval.expand_query(terms, glossary, onto, hops=args.hops if args.expand else 0)
-    hits = retrieval.search(index, query, k=args.k, kind=args.kind)
+    query = retrieval.expand_query(terms, glossary, onto,
+                                   **(_given(args, {}, hops="hops") if args.expand else {}))
+    hits = retrieval.search(index, query, **_given(args, {}, k="k", kind="kind"))
     for rank, hit in enumerate(hits, start=1):
         print(f"{rank}\t{hit.doc_id}\t{hit.score:.6f}")
     return EXIT_OK
@@ -435,7 +436,7 @@ def _cmd_eval(args) -> int:
         predicted = _read("sidecar", pred_path, read_sidecar)
         truth = _read("truth", truth_path, evaluation.load_truth)
         reports.append(evaluation.evaluate(
-            predicted, truth, glossary, onto, iou_threshold=args.iou_threshold))
+            predicted, truth, glossary, onto, **_given(args, {}, iou_threshold="iou_threshold")))
     overall = evaluation.aggregate(reports, macro=args.macro)
     print(evaluation.format_report_table(reports + [overall]))
     if args.out:
@@ -539,11 +540,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", metavar="SNAPSHOT")
     p.add_argument("--query", required=True)
     p.add_argument("--expand", action="store_true")
-    p.add_argument("--hops", type=int, choices=(0, 1), default=0)
+    p.add_argument("--hops", type=int, choices=(0, 1))
     p.add_argument("--glossary")
     p.add_argument("--ontology")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--kind", choices=("all", "image", "segment"), default="all")
+    p.add_argument("--k", type=int)
+    p.add_argument("--kind", choices=("all", "image", "segment"))
     p.set_defaults(func=_cmd_search)
 
     p = common(sub.add_parser("eval", help="score predictions against curated truth"))
@@ -551,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", action="append", metavar="SIDECAR")
     p.add_argument("--glossary")
     p.add_argument("--ontology")
-    p.add_argument("--iou-threshold", dest="iou_threshold", type=float, default=0.5)
+    p.add_argument("--iou-threshold", dest="iou_threshold", type=float)
     p.add_argument("--macro", action="store_true")
     p.add_argument("--out", metavar="REPORT_JSON")
     p.set_defaults(func=_cmd_eval)

@@ -3,8 +3,8 @@
 Detections are matched to truth boxes greedily in confidence order at an
 IoU threshold (the usual detection-benchmark convention), then each
 matched pair contributes a knowledge-aware label score: 1 for the same
-term or concept, a configurable value for an ancestor concept, a smaller
-one for a merely related concept, 0 otherwise. soft-F1 is F1 with the
+term or concept, C_ANCESTOR for an ancestor concept, the smaller C_RELATED
+for a merely related concept, 0 otherwise. soft-F1 is F1 with the
 true-positive count replaced by the sum of those scores, so it separates
 "found the right box" from "called it the right thing".
 """
@@ -19,8 +19,8 @@ from .catalog import ImageRecord, box_iou, read_sidecar
 from .raster import BoundingBox
 
 DEFAULT_IOU_THRESHOLD = 0.5
-DEFAULT_C_ANCESTOR = 0.5
-DEFAULT_C_RELATED = 0.25
+C_ANCESTOR = 0.5
+C_RELATED = 0.25
 
 
 @dataclass(frozen=True)
@@ -132,12 +132,10 @@ def _concepts_for_text(text: str, glossary, ontology) -> frozenset:
     return frozenset(out)
 
 
-def label_score(pred_text: str, truth_text: str, glossary, ontology,
-                c_ancestor: float = DEFAULT_C_ANCESTOR,
-                c_related: float = DEFAULT_C_RELATED) -> float:
+def label_score(pred_text: str, truth_text: str, glossary, ontology) -> float:
     """Symmetric similarity of two label texts: 1 for equal normalized text
-    or a shared concept, c_ancestor when one concept subsumes the other,
-    c_related for a one-hop related pair, else 0."""
+    or a shared concept, C_ANCESTOR when one concept subsumes the other,
+    C_RELATED for a one-hop related pair, else 0."""
     if lexicon.normalize_term(pred_text) == lexicon.normalize_term(truth_text):
         return 1.0
     a = _concepts_for_text(pred_text, glossary, ontology)
@@ -149,14 +147,14 @@ def label_score(pred_text: str, truth_text: str, glossary, ontology,
     for ca in a:
         anc = set(onto.ancestors(ontology, ca))
         if anc & b:
-            return c_ancestor
+            return C_ANCESTOR
     for cb in b:
         anc = set(onto.ancestors(ontology, cb))
         if anc & a:
-            return c_ancestor
+            return C_ANCESTOR
     for ca in a:
         if onto.related(ontology, ca) & b:
-            return c_related
+            return C_RELATED
     return 0.0
 
 
@@ -179,9 +177,7 @@ def _report(image_id, tp, fp, fn, sum_iou, sum_score) -> EvalReport:
 
 
 def evaluate(predicted: ImageRecord, truth: GroundTruthRecord, glossary, ontology,
-             iou_threshold: float = DEFAULT_IOU_THRESHOLD,
-             c_ancestor: float = DEFAULT_C_ANCESTOR,
-             c_related: float = DEFAULT_C_RELATED) -> EvalReport:
+             iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> EvalReport:
     if predicted.image_id != truth.image_id:
         raise ValueError(
             f"record {predicted.image_id} does not match truth {truth.image_id}")
@@ -192,8 +188,7 @@ def evaluate(predicted: ImageRecord, truth: GroundTruthRecord, glossary, ontolog
     fn = len(matching.unmatched_truth)
     sum_iou = sum(iou for _, _, iou in matching.pairs)
     sum_score = sum(
-        label_score(detections[i].text, truth.items[j].text, glossary, ontology,
-                    c_ancestor, c_related)
+        label_score(detections[i].text, truth.items[j].text, glossary, ontology)
         for i, j, _ in matching.pairs
     )
     return _report(predicted.image_id, tp, fp, fn, sum_iou, sum_score)

@@ -1,5 +1,5 @@
 """Concept graph for ship components: is-a hierarchy (a DAG), part-of and
-related-to edges, spatial zones, and prompt-context bundles.
+related-to edges, and spatial zones.
 
 File format:
 
@@ -8,8 +8,9 @@ File format:
                            "related_to": [...], "zone": "stern",
                            "gloss_id": "..."}}}
 
-Zones are one of bow, stern, keel, bottom, deck, unspecified. part_of carries
-no transitive reasoning here; related_to is treated as untyped and symmetric.
+Zones are one of bow, stern, keel, bottom, deck, unspecified. The loader
+checks zone and part_of but nothing reasons over them; related_to is treated
+as untyped and symmetric.
 """
 
 from __future__ import annotations
@@ -51,25 +52,6 @@ class Concept:
 
 
 @dataclass(frozen=True)
-class ContextBundle:
-    """Prompt context for one concept: what it is (nearest ancestors first),
-    which sibling categories it does not belong to, what it relates to, where
-    it sits, and what it is part of. Ids drive reasoning; the parallel
-    *_labels tuples hold the display strings, element for element."""
-
-    concept_id: str
-    ancestors: tuple[str, ...]
-    excluded: tuple[str, ...]
-    related: tuple[str, ...]
-    zone: str
-    part_of: tuple[str, ...]
-    ancestor_labels: tuple[str, ...]
-    excluded_labels: tuple[str, ...]
-    related_labels: tuple[str, ...]
-    part_of_labels: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Ontology:
     concepts: dict[str, Concept]
     roots: tuple[str, ...]
@@ -102,6 +84,9 @@ def load_ontology(data: bytes | str) -> Ontology:
         zone = raw.get("zone", "unspecified")
         if zone not in ZONES:
             raise OntologyFormatError(f"concept {cid!r}: unknown zone {zone!r}")
+        label = raw.get("label", cid)
+        if not isinstance(label, str):
+            raise OntologyFormatError(f"concept {cid!r}: label must be a string")
         gloss_id = raw.get("gloss_id")
         if gloss_id is not None and not isinstance(gloss_id, str):
             raise OntologyFormatError(f"concept {cid!r}: gloss_id must be a string")
@@ -113,7 +98,7 @@ def load_ontology(data: bytes | str) -> Ontology:
             edges[key] = tuple(val)
         concepts[cid] = Concept(
             id=cid,
-            label=str(raw.get("label", cid)),
+            label=label,
             is_a=edges["is_a"],
             part_of=edges["part_of"],
             related_to=edges["related_to"],
@@ -182,41 +167,3 @@ def related(ontology: Ontology, cid: str) -> set[str]:
     _get(ontology, cid)
     return set(ontology._related.get(cid, frozenset()))
 
-
-def spatial_zone(ontology: Ontology, cid: str) -> tuple[str, bool]:
-    """The concept's own zone, or the nearest ancestor's specified zone
-    (BFS order, first hit). Returns (zone, inherited)."""
-    c = _get(ontology, cid)
-    if c.zone != "unspecified":
-        return c.zone, False
-    for aid in ancestors(ontology, cid):
-        if ontology.concepts[aid].zone != "unspecified":
-            return ontology.concepts[aid].zone, True
-    return "unspecified", False
-
-
-def context_bundle(ontology: Ontology, cid: str) -> ContextBundle:
-    """Everything the prompt builder wants to know about one concept,
-    including the category roots it does NOT descend from."""
-    c = _get(ontology, cid)
-    anc = tuple(ancestors(ontology, cid))
-    in_closure = set(anc) | {cid}
-    excluded = tuple(r for r in ontology.roots if r not in in_closure)
-    rel = tuple(sorted(related(ontology, cid)))
-    zone, _ = spatial_zone(ontology, cid)
-
-    def labels(ids):
-        return tuple(ontology.concepts[i].label for i in ids)
-
-    return ContextBundle(
-        concept_id=cid,
-        ancestors=anc,
-        excluded=excluded,
-        related=rel,
-        zone=zone,
-        part_of=c.part_of,
-        ancestor_labels=labels(anc),
-        excluded_labels=labels(excluded),
-        related_labels=labels(rel),
-        part_of_labels=labels(c.part_of),
-    )

@@ -151,6 +151,8 @@ def load_vocabulary_seed(data: bytes | str) -> VocabularySeed:
     language = doc.get("language", "en")
     if not isinstance(entries, dict) or not isinstance(source_hash, str):
         raise ValueError("vocabulary seed must carry entries and source_hash")
+    if not isinstance(language, str):
+        raise ValueError("vocabulary seed language must be a string")
     for term, definition in entries.items():
         if not isinstance(term, str) or lexicon.normalize_term(term) != term:
             raise ValueError(f"seed term {term!r} is not in normalized form")

@@ -24,7 +24,6 @@ B = 0.75
 
 @dataclass(frozen=True)
 class Query:
-    raw: tuple
     expanded: tuple  # normalized term strings, sorted
 
     def tokens(self) -> set:
@@ -38,16 +37,6 @@ class Query:
 class SearchHit:
     doc_id: str
     score: float
-
-    @property
-    def image_id(self) -> str:
-        return self.doc_id.split("#", 1)[0]
-
-    @property
-    def segment_id(self) -> int | None:
-        if "#" not in self.doc_id:
-            return None
-        return int(self.doc_id.split("#", 1)[1])
 
 
 class Index:
@@ -169,7 +158,7 @@ def expand_query(terms, glossary=None, ontology=None, hops: int = 0) -> Query:
             n = lexicon.normalize_term(lab)
             if n:
                 expanded.add(n)
-    return Query(raw=raw, expanded=tuple(sorted(expanded)))
+    return Query(expanded=tuple(sorted(expanded)))
 
 
 def search(index: Index, query: Query, k: int = 10, kind: str = "all") -> list:
@@ -199,14 +188,6 @@ def search(index: Index, query: Query, k: int = 10, kind: str = "all") -> list:
         scores = {d: s for d, s in scores.items() if "#" in d}
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return [SearchHit(doc_id=d, score=s) for d, s in ranked[:k]]
-
-
-def matched_documents(index: Index, query: Query) -> set:
-    """Every doc id containing at least one query token (rank-free)."""
-    out: set[str] = set()
-    for tok in query.tokens():
-        out.update(index.postings.get(tok, ()))
-    return out
 
 
 def index_to_obj(index: Index) -> dict:

@@ -317,6 +317,13 @@ def bm25_oracle(docs, query_terms, k1=1.2, b=0.75):
     return scores
 
 
+def matched_oracle(postings, tokens):
+    """Every doc id listed under any of `tokens`, by a scan of the whole
+    posting table: the OR match set, without ranking."""
+    return {doc_id for tok, plist in postings.items() if tok in tokens
+            for doc_id in plist}
+
+
 def index_from_obj_oracle(doc):
     """A snapshot object checked entry by entry: (docs, postings) as fresh
     dicts, or ValueError naming the first bad entry."""

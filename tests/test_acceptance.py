@@ -16,6 +16,7 @@ import math
 import os
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from treatise.catalog import (
     LabelAssignment,
     canonical_json_bytes,
     image_id_for,
-    load_sidecar,
+    read_sidecar,
     record_from_obj,
     record_to_bytes,
     record_to_obj,
@@ -66,7 +67,6 @@ from treatise.retrieval import (
     expand_query,
     index_from_obj,
     index_record,
-    matched_documents,
     search,
 )
 
@@ -220,15 +220,22 @@ def test_acceptance_04_ontology_reasoning(ship_ontology):
         rejected += 1
     assert set(onto.ancestors(ship_ontology, "RiderFrame")) >= {"HullComponent"}
     assert "Frame" in onto.related(ship_ontology, "RiderFrame")
-    bundle = onto.context_bundle(ship_ontology, "RiderFrame")
-    assert set(bundle.excluded) >= {"AuxiliaryComponent", "InternalStructure"}
+    outside = {"AuxiliaryComponent", "InternalStructure"}
+    assert outside <= set(ship_ontology.roots)
+    assert not outside & set(onto.ancestors(ship_ontology, "RiderFrame"))
     ok(4, "closure equals brute-force reachability on 50 random DAGs; "
           f"{rejected}/20 injected is_a cycles rejected; "
-          "rider-frame bundle facts hold")
+          "rider-frame closure facts hold")
 
 
 def _human(text):
     return LabelAssignment(text=text, confidence=1.0, source="human")
+
+
+def _matched(index, query):
+    """Every doc the ranker returns when nothing is cut: a doc holding any
+    query token scores above 0, since idf > 0 and tf >= 1."""
+    return {h.doc_id for h in search(index, query, k=index.doc_count)}
 
 
 def test_acceptance_05_expansion_only_widens_recall(parts_glossary,
@@ -257,14 +264,13 @@ def test_acceptance_05_expansion_only_widens_recall(parts_glossary,
                 docs_tokens[f"{record.image_id}#{seg.id}"] = toks
         terms = [rng.choice(surfaces) for _ in range(rng.randint(1, 2))]
         hops = rng.choice([0, 1])
-        plain = matched_documents(index, expand_query(terms))
-        expanded = matched_documents(index, expand_query(
+        plain = _matched(index, expand_query(terms))
+        expanded = _matched(index, expand_query(
             terms, glossary=parts_glossary, ontology=ship_ontology, hops=hops))
         assert plain <= expanded
         for doc_id, toks in docs_tokens.items():
             if toks:
-                assert doc_id in matched_documents(
-                    index, expand_query([toks[0]]))
+                assert doc_id in _matched(index, expand_query([toks[0]]))
                 checked += 1
     ok(5, "expanded match set contains the plain one on 100/100 corpora; "
           f"{checked} exact-term self-hits verified")
@@ -290,7 +296,7 @@ def test_acceptance_06_bm25_hand_check():
         "d2": term(1, 2, 1),
         "d3": term(1, 2, 2),
     }
-    query = Query(raw=(), expanded=("keel", "scarf"))
+    query = Query(expanded=("keel", "scarf"))
     full = search(index, query, k=10)
     got = {h.doc_id: h.score for h in full}
     assert set(got) == set(want)
@@ -478,7 +484,7 @@ def test_acceptance_11_end_to_end_corpus(tmp_path, capsys):
     sidecars = []
     for name, (blob, label) in sorted(pages.items()):
         path = sidecar_path(str(tmp_path / name))
-        record = load_sidecar(path)
+        record = read_sidecar(Path(path).read_bytes())
         assert validate_record(record, blob) == []
         texts = [a.text for items in record.assignments.values() for a in items]
         assert texts == [label]

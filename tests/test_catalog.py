@@ -514,7 +514,7 @@ class TestManifest:
 
     def test_load(self):
         m = load_manifest(json.dumps(self.GOOD))
-        assert m.total_images == 3
+        assert [len(t.images) for t in m.treatises] == [2, 1]
         assert m.treatises[0].title == "Livro A"
 
     def test_count_mismatch(self):
@@ -532,7 +532,7 @@ class TestManifest:
     def test_no_year_range_everything_goes(self):
         doc = {"treatises": [{"title": "X", "language": "la", "year": 99,
                               "images": []}]}
-        assert load_manifest(json.dumps(doc)).total_images == 0
+        assert load_manifest(json.dumps(doc)).treatises[0].images == ()
 
 
 def test_sidecar_path():

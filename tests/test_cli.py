@@ -29,7 +29,7 @@ from treatise.catalog import (
     Provenance,
     image_id_for,
     load_manifest,
-    load_sidecar,
+    read_sidecar,
     sidecar_path,
     utc_timestamp,
     write_sidecar,
@@ -176,7 +176,7 @@ def test_segment_writes_default_sidecar(tmp_path, capsys):
     code, _, err = run(capsys, "segment", "--in", image)
     assert code == 0
     assert "segments" in err
-    record = load_sidecar(sidecar_path(image))
+    record = read_sidecar(Path(sidecar_path(image)).read_bytes())
     assert record.provenance.method == "native"
     assert len(record.segments) >= 1
 
@@ -189,8 +189,8 @@ def test_segment_honors_out_relief_and_h(tmp_path, capsys):
                "--relief", "raw")[0] == 0
     assert run(capsys, "segment", "--in", image, "--out", coarse,
                "--relief", "raw", "--h", "2")[0] == 0
-    assert len(load_sidecar(fine).segments) == 2
-    assert len(load_sidecar(coarse).segments) == 1
+    assert len(read_sidecar(Path(fine).read_bytes()).segments) == 2
+    assert len(read_sidecar(Path(coarse).read_bytes()).segments) == 1
 
 
 def test_segment_missing_image_is_a_data_error(tmp_path, capsys):
@@ -385,7 +385,7 @@ def test_pipeline_m1_single_image(tmp_path, capsys, config_path):
     code, _, err = run(capsys, "pipeline", "--config", config_path,
                        "--in", image, "--method", "m1")
     assert code == 0
-    record = load_sidecar(sidecar_path(image))
+    record = read_sidecar(Path(sidecar_path(image)).read_bytes())
     assert record.provenance.method == "M1"
     assert record.image_caption
     assert "labels" in err
@@ -567,7 +567,7 @@ def test_pipeline_m4b_with_seed(tmp_path, capsys, config_path):
     code, _, _ = run(capsys, "pipeline", "--config", config_path, "--in", image,
                      "--method", "m4b", "--vocabulary", seed)
     assert code == 0
-    record = load_sidecar(sidecar_path(image))
+    record = read_sidecar(Path(sidecar_path(image)).read_bytes())
     assert record.provenance.degraded is True
     assert record.provenance.method == "M4b"
 
@@ -580,13 +580,13 @@ def test_enrich_in_place_and_to_new_file(tmp_path, capsys):
     code, _, _ = run(capsys, "enrich", "--in", sidecar, "--out", out,
                      "--glossary", GLOSSARY, "--ontology", ONTOLOGY)
     assert code == 0
-    assert load_sidecar(sidecar).assignments[1][0].concept_id is None
-    assert load_sidecar(out).assignments[1][0].concept_id == "Keel"
+    assert read_sidecar(Path(sidecar).read_bytes()).assignments[1][0].concept_id is None
+    assert read_sidecar(Path(out).read_bytes()).assignments[1][0].concept_id == "Keel"
     # default output is in place
     code, _, _ = run(capsys, "enrich", "--in", sidecar,
                      "--glossary", GLOSSARY, "--ontology", ONTOLOGY)
     assert code == 0
-    assert load_sidecar(sidecar).assignments[1][0].concept_id == "Keel"
+    assert read_sidecar(Path(sidecar).read_bytes()).assignments[1][0].concept_id == "Keel"
 
 
 def test_enrich_requires_both_knowledge_files(tmp_path, capsys):
@@ -914,13 +914,13 @@ def test_corpus_reprocesses_sidecars_it_cannot_trust(tmp_path, capsys):
     (tmp_path / "p1.pgm.segments.json").write_text("garbage")
     (tmp_path / "p2.pgm").write_bytes(RIDGE)
     p3 = str(tmp_path / "p3.pgm.segments.json")
-    record = load_sidecar(p3)
+    record = read_sidecar(Path(p3).read_bytes())
     write_sidecar(replace(record, provenance=replace(record.provenance, method="M2")), p3)
     code, out, _ = run(capsys, "pipeline", "--manifest", manifest, "--method", "native")
     assert code == 0
     assert "processed=3 failed=0 skipped=1" in out
     for name in ("p1.pgm", "p2.pgm", "p3.pgm"):
-        record = load_sidecar(sidecar_path(tmp_path / name))
+        record = read_sidecar(Path(sidecar_path(tmp_path / name)).read_bytes())
         assert record.provenance.method == "native"
         assert record.image_id == image_id_for((tmp_path / name).read_bytes())
 
@@ -1278,9 +1278,9 @@ def test_segment_takes_an_h_too_large_for_int64(tmp_path, capsys):
     (tmp_path / "cfg.json").write_text(f'{{"h": {huge}}}')
     assert run(capsys, "segment", "--in", image, "--config", "cfg.json",
                "--out", "config.json")[0] == 0
-    ref = load_sidecar(tmp_path / "ref.json").segments
-    assert load_sidecar(tmp_path / "flag.json").segments == ref
-    assert load_sidecar(tmp_path / "config.json").segments == ref
+    ref = read_sidecar((tmp_path / "ref.json").read_bytes()).segments
+    assert read_sidecar((tmp_path / "flag.json").read_bytes()).segments == ref
+    assert read_sidecar((tmp_path / "config.json").read_bytes()).segments == ref
 
 
 # ------------------------------------------------------------ README examples
@@ -1372,7 +1372,7 @@ def _mutate(data: bytes, edits) -> bytes:
 
 # each fuzzed kind: the command that reads it, and the package function it hands the file to
 _FUZZED = {
-    "sidecar": ("index", load_sidecar),
+    "sidecar": ("index", lambda path: read_sidecar(path.read_bytes())),
     "truth": ("eval --truth", lambda path: load_truth(path.read_bytes())),
     "manifest": ("pipeline", lambda path: load_manifest(path.read_bytes())),
     "glossary": ("search --expand", lambda path: load_glossary(path.read_bytes())),

@@ -216,13 +216,6 @@ def test_label_score_unrelated_and_unknown(parts_glossary, ship_ontology):
     assert label_score("zzz", "keel", parts_glossary, ship_ontology) == 0.0
 
 
-def test_label_score_custom_weights(frames_glossary, ship_ontology):
-    assert label_score("floor timber", "frame", frames_glossary, ship_ontology,
-                       c_ancestor=0.7) == 0.7
-    assert label_score("rider frame", "frame", frames_glossary, ship_ontology,
-                       c_related=0.1) == 0.1
-
-
 def test_label_score_is_symmetric(parts_glossary, frames_glossary, ship_ontology):
     parts_terms = ["keel", "quilha", "sternpost", "heel", "scarf",
                    "stern knee", "zzz"]

@@ -9,10 +9,8 @@ from treatise.ontology import (
     OntologyFormatError,
     UnknownConceptError,
     ancestors,
-    context_bundle,
     load_ontology,
     related,
-    spatial_zone,
 )
 
 
@@ -34,6 +32,8 @@ class TestLoad:
         assert len(ship_ontology) >= 2
         assert "RiderFrame" in ship_ontology.concepts
         assert ship_ontology.concepts["RiderFrame"].is_a == ("HullComponent",)
+        assert ship_ontology.concepts["SternKnee"].part_of == ("Sternpost",)
+        assert ship_ontology.concepts["AuxiliaryComponent"].label == "Auxiliary Component"
 
     def test_single_concept(self):
         onto = make({"lone": {}})
@@ -55,6 +55,11 @@ class TestLoad:
     def test_dangling_part_of(self):
         with pytest.raises(OntologyFormatError):
             make({"A": {"part_of": ["ghost"]}})
+
+    @pytest.mark.parametrize("label", [None, 5, ["x"]])
+    def test_non_string_label(self, label):
+        with pytest.raises(OntologyFormatError, match="concept 'A': label"):
+            make({"A": {"label": label}})
 
     def test_unknown_zone(self):
         with pytest.raises(OntologyFormatError):
@@ -164,71 +169,7 @@ class TestRelated:
 
 class TestSpatialZone:
     def test_own_zone(self, ship_ontology):
-        assert spatial_zone(ship_ontology, "Keel") == ("keel", False)
-
-    def test_inherited_from_parent(self, ship_ontology):
-        # Heel has no zone of its own; its parent Sternpost says stern
-        assert spatial_zone(ship_ontology, "Heel") == ("stern", True)
-
-    def test_unspecified_when_no_ancestor_has_one(self, ship_ontology):
-        assert spatial_zone(ship_ontology, "Scarf") == ("unspecified", False)
-
-    def test_nearest_specified_wins(self):
-        onto = make({
-            "far": {"zone": "deck"},
-            "near": {"is_a": ["far"], "zone": "stern"},
-            "leaf": {"is_a": ["near"]},
-        })
-        assert spatial_zone(onto, "leaf") == ("stern", True)
-
-    def test_zone_always_own_or_ancestral(self):
-        rng = random.Random(77)
-        zones = ("bow", "stern", "keel", "bottom", "deck", "unspecified")
-        for _ in range(30):
-            n = rng.randint(1, 20)
-            concepts = random_dag(rng, n)
-            for c in concepts.values():
-                c["zone"] = rng.choice(zones)
-            onto = make(concepts)
-            for cid in onto.concepts:
-                zone, inherited = spatial_zone(onto, cid)
-                own = onto.concepts[cid].zone
-                pool = {onto.concepts[a].zone for a in ancestors(onto, cid)}
-                assert zone in ({own} | pool | {"unspecified"})
-                if inherited:
-                    assert own == "unspecified" and zone in pool
-
-
-class TestContextBundle:
-    def test_rider_frame_bundle(self, ship_ontology):
-        b = context_bundle(ship_ontology, "RiderFrame")
-        assert "HullComponent" in b.ancestors
-        assert {"AuxiliaryComponent", "InternalStructure"} <= set(b.excluded)
-        assert "Frame" in b.related
-        assert "Hull Component" in b.ancestor_labels
-        assert "Auxiliary Component" in b.excluded_labels
-
-    def test_root_bundle(self, ship_ontology):
-        b = context_bundle(ship_ontology, "HullComponent")
-        assert b.ancestors == ()
-        assert set(b.excluded) == {"AuxiliaryComponent", "InternalStructure",
-                                   "JoiningAndFastening"}
-
-    def test_fields_match_standalone_ops(self, ship_ontology):
-        for cid in ship_ontology.concepts:
-            b = context_bundle(ship_ontology, cid)
-            assert list(b.ancestors) == ancestors(ship_ontology, cid)
-            assert set(b.related) == related(ship_ontology, cid)
-            assert b.zone == spatial_zone(ship_ontology, cid)[0]
-            assert b.part_of == ship_ontology.concepts[cid].part_of
-            in_closure = set(b.ancestors) | {cid}
-            assert set(b.excluded) == {r for r in ship_ontology.roots
-                                       if r not in in_closure}
-
-    def test_part_of_surfaces(self, ship_ontology):
-        b = context_bundle(ship_ontology, "SternKnee")
-        assert b.part_of == ("Sternpost",)
-        assert b.part_of_labels == ("Sternpost",)
+        assert ship_ontology.concepts["Keel"].zone == "keel"
 
 
 class TestGlossLinks:

@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from conftest import make_pgm, shaped_mask
-from treatise.catalog import canonical_json_bytes, load_sidecar, record_to_bytes, record_to_obj
+from treatise.catalog import canonical_json_bytes, read_sidecar, record_to_bytes, record_to_obj
 from treatise.cli import main
 from treatise.pipeline import PipelineConfig, _segments_from_wire, run_pipeline
 
@@ -91,7 +91,7 @@ def test_segment_sidecar_matches_oracle_chain(tmp_path, kind, seed, h):
     image.write_bytes(make_pgm(pixels))
     out = tmp_path / "page.json"
     assert main(["segment", "--in", str(image), "--out", str(out), "--h", str(h)]) == 0
-    got = record_segments(load_sidecar(out).segments)
+    got = record_segments(read_sidecar(out.read_bytes()).segments)
     assert got == oracle_segments(pixels, h)
 
 

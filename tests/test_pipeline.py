@@ -192,6 +192,13 @@ def test_load_seed_defaults_language():
     assert seed.language == "en"
 
 
+@pytest.mark.parametrize("language", ["[1]", "null", "7"])
+def test_load_seed_rejects_a_non_string_language(language):
+    with pytest.raises(ValueError, match="language must be a string"):
+        load_vocabulary_seed('{"entries": {"keel": "x"}, "source_hash": "h", '
+                             f'"language": {language}}}')
+
+
 # ------------------------------------------------- vocabulary building
 
 def test_build_vocabulary_cold_calls_definer_once_per_entry(

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from oracles import bm25_oracle, index_from_obj_oracle
+from oracles import bm25_oracle, index_from_obj_oracle, matched_oracle
 from treatise.catalog import (
     ImageRecord,
     LabelAssignment,
@@ -19,13 +19,11 @@ from treatise.raster import BoundingBox, MaskRLE, Segment
 from treatise.retrieval import (
     Index,
     Query,
-    SearchHit,
     expand_query,
     index_from_obj,
     index_record,
     index_to_obj,
     load_index,
-    matched_documents,
     record_docs,
     save_index,
     search,
@@ -189,7 +187,6 @@ def test_expand_rejects_multi_hop():
 
 def test_expand_without_glossary_just_normalizes():
     q = expand_query(["Keels", "  Côdaste "])
-    assert q.raw == ("Keels", "  Côdaste ")
     assert q.expanded == ("codaste", "keel")
 
 
@@ -217,7 +214,7 @@ def test_expand_is_monotone_in_hops(parts_glossary, ship_ontology):
 
 
 def test_query_tokens_split_multiword_terms():
-    q = Query(raw=("x",), expanded=("stern post", "keel"))
+    q = Query(expanded=("stern post", "keel"))
     assert q.tokens() == {"stern", "post", "keel"}
 
 
@@ -225,21 +222,21 @@ def test_query_tokens_split_multiword_terms():
 
 def test_search_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        search(Index(), Query(raw=(), expanded=("keel",)), kind="page")
+        search(Index(), Query(expanded=("keel",)), kind="page")
 
 
 def test_search_empty_query_or_index():
     index = index_record(Index(), make_record("img", {1: [("keel", None)]}))
-    assert search(index, Query(raw=(), expanded=())) == []
-    assert search(Index(), Query(raw=(), expanded=("keel",))) == []
-    assert search(index, Query(raw=(), expanded=("keel",)), k=0) == []
+    assert search(index, Query(expanded=())) == []
+    assert search(Index(), Query(expanded=("keel",))) == []
+    assert search(index, Query(expanded=("keel",)), k=0) == []
 
 
 def test_search_or_semantics():
     index = Index()
     index_record(index, make_record("one", {1: [("keel", None)]}))
     index_record(index, make_record("two", {1: [("scarf", None)]}))
-    hits = search(index, Query(raw=(), expanded=("keel", "scarf")), k=10)
+    hits = search(index, Query(expanded=("keel", "scarf")), k=10)
     assert {h.doc_id for h in hits} == {"one", "one#1", "two", "two#1"}
 
 
@@ -247,7 +244,7 @@ def test_search_ties_break_on_doc_id_ascending():
     index = Index()
     index_record(index, make_record("b", {1: [("keel", None)]}))
     index_record(index, make_record("a", {1: [("keel", None)]}))
-    hits = search(index, Query(raw=(), expanded=("keel",)), k=10)
+    hits = search(index, Query(expanded=("keel",)), k=10)
     assert len({round(h.score, 12) for h in hits}) == 1
     assert [h.doc_id for h in hits] == ["a", "a#1", "b", "b#1"]
 
@@ -256,21 +253,15 @@ def test_search_truncates_to_k():
     index = Index()
     index_record(index, make_record("a", {1: [("keel", None)]}))
     index_record(index, make_record("b", {1: [("keel", None)]}))
-    hits = search(index, Query(raw=(), expanded=("keel",)), k=2)
+    hits = search(index, Query(expanded=("keel",)), k=2)
     assert [h.doc_id for h in hits] == ["a", "a#1"]
 
 
 def test_search_kind_filters():
     index = index_record(Index(), make_record("img", {1: [("keel", None)]}))
-    q = Query(raw=(), expanded=("keel",))
+    q = Query(expanded=("keel",))
     assert [h.doc_id for h in search(index, q, kind="image")] == ["img"]
     assert [h.doc_id for h in search(index, q, kind="segment")] == ["img#1"]
-
-
-def test_hit_accessors():
-    assert SearchHit("abc#7", 1.0).image_id == "abc"
-    assert SearchHit("abc#7", 1.0).segment_id == 7
-    assert SearchHit("abc", 1.0).segment_id is None
 
 
 def test_bm25_scores_match_oracle_on_random_corpora():
@@ -288,7 +279,7 @@ def test_bm25_scores_match_oracle_on_random_corpora():
             docs[iid] = list(tokens)
         terms = tuple(sorted({rng.choice(vocab) for _ in range(rng.randint(1, 3))}))
         want = bm25_oracle(docs, terms)
-        hits = search(index, Query(raw=terms, expanded=terms), k=100)
+        hits = search(index, Query(expanded=terms), k=100)
         got = {h.doc_id: h.score for h in hits}
         assert set(got) == set(want)
         for doc_id, score in want.items():
@@ -297,13 +288,33 @@ def test_bm25_scores_match_oracle_on_random_corpora():
         assert [h.doc_id for h in hits] == [d for d, _ in ranked]
 
 
+def test_uncut_search_returns_exactly_the_matched_docs():
+    rng = random.Random(20261020)
+    vocab = ["keel", "scarf", "heel", "frame", "plank", "oak", "stern", "post"]
+    for _ in range(40):
+        index = Index()
+        for i in range(rng.randint(1, 8)):
+            labels = {s: [(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 3))), None)
+                          for _ in range(rng.randint(0, 2))]
+                      for s in range(1, rng.randint(1, 4) + 1)}
+            index_record(index, make_record(f"im{rng.randint(0, 5)}", labels))
+        terms = tuple(" ".join(rng.choice(vocab + ["zzz"]) for _ in range(rng.randint(1, 2)))
+                      for _ in range(rng.randint(0, 3)))
+        q = Query(expanded=terms)
+        got = {h.doc_id for h in search(index, q, k=index.doc_count)}
+        assert got == matched_oracle(index.postings, q.tokens())
+
+
 def test_expansion_only_widens_the_matched_set(parts_glossary, ship_ontology):
     index = Index()
     index_record(index, make_record("k", {1: [("keel", None)]}))
     index_record(index, make_record("s", {1: [("sternpost", None)]}))
-    raw = matched_documents(index, expand_query(["quilha"]))
-    flat = matched_documents(index, expand_query(["quilha"], glossary=parts_glossary))
-    wide = matched_documents(index, expand_query(
+    def matched(query):
+        return {h.doc_id for h in search(index, query, k=index.doc_count)}
+
+    raw = matched(expand_query(["quilha"]))
+    flat = matched(expand_query(["quilha"], glossary=parts_glossary))
+    wide = matched(expand_query(
         ["quilha"], glossary=parts_glossary, ontology=ship_ontology, hops=1))
     assert raw == set()
     assert flat == {"k", "k#1"}
