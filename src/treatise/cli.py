@@ -407,6 +407,8 @@ def _sidecar_docs(path) -> tuple:
 
 
 def _cmd_search(args) -> int:
+    if args.hops is not None and not args.expand:
+        raise UsageError("--hops needs --expand")
     cfg = _load_config(args)
     index_path = _opt(args, cfg, "index", "search needs --index SNAPSHOT (flag or config)")
     index = retrieval.load_index(index_path)

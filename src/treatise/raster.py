@@ -7,8 +7,10 @@ Connectivity is 4-connected throughout (regions, plateaus, contours).
 
 The flooding routines are array code with no loop per pixel: plateaus are
 labelled by union-find over row runs, rooted at each plateau's first run in
-row-major order; the h-minima reconstruction sweeps rows and columns of int16
-levels to the fixpoint of the geodesic erosion, two in-place ufuncs per row;
+row-major order; the h-minima reconstruction runs raster and anti-raster
+scans of int16 levels to the fixpoint of the geodesic erosion, one
+anti-diagonal of a skewed frame per step and about sqrt(h + w) bands of the
+frame's rows side by side, three in-place ufuncs per step;
 the gradient is an integer Sobel; and the watershed runs each synchronous
 wave as one array step over its front, deduplicated without sorting, on a
 map of labels minus one (-1 not yet flooded, -2 line or frame), so that one
@@ -21,9 +23,11 @@ pixel's 8-bit neighbour code and backtrack direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 # 8-neighborhood in clockwise screen order (y grows downward), starting north
 N8_CLOCKWISE = ((0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1))
@@ -296,31 +300,68 @@ def _sobel_magnitude(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Markers
 
+def _on_page(frame: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The (h, w) view of a skewed frame in which pixel (i, j) sits at row
+    i + j + 1 and column i + 1."""
+    step = frame.strides[0]
+    return as_strided(frame[1:, 1:], shape=shape, strides=(step + frame.itemsize, step))
+
+
 def suppress_shallow_minima(f: np.ndarray, h: int) -> np.ndarray:
     """h-minima transform: reconstruction by erosion of f + h over f. Minima
     whose depth relative to their lowest saddle is below h disappear. f holds
     8-bit levels (0..255) and 0 <= h <= 256, so f + h fits the int16 result.
 
-    Forward and backward sweeps, along rows and then along columns, set
-    g[i] = max(f[i], min(g[i], g[i -/+ 1])) until a full round changes
-    nothing. No step takes g below the reconstruction, and a round that
-    changes nothing leaves a fixpoint of the 4-neighbour geodesic erosion,
-    of which the reconstruction is the largest below f + h (Vincent 1993)."""
-    mask = f.astype(np.int16)
-    g = mask + int(h)
-    frames = (mask.T.copy(), mask)
+    Rounds of a raster scan, g = max(f, min(g, north, west)), and an
+    anti-raster scan, g = max(f, min(g, south, east)), run until a round
+    changes nothing (Vincent 1993). Each scan steps through the anti-diagonals
+    of a skewed frame, in which pixel (i, j) sits at row i + j + 1 and column
+    i + 1, so that both neighbours a step reads lie on the row before (after)
+    it; every cell off the page holds the int16 maximum. A tall page is
+    transposed first, so that the frame is as narrow as its shorter side.
+    The frame's rows are cut into about sqrt(height + width) bands that are
+    scanned side by side (Lamport 1974), and a band's first row reads the
+    previous band's last row as it stands. No step takes g below the
+    reconstruction, and g only falls, so a round that leaves its sum
+    unchanged changed nothing; such a round leaves a fixpoint of the
+    4-neighbour geodesic erosion, of which the reconstruction is the largest
+    below f + h."""
+    tall = f.shape[0] > f.shape[1]
+    if tall:
+        f = f.T
+    shape = n, _ = f.shape
+    rows = sum(shape) + 1  # the anti-diagonals and a pad row at each end
+    bands = math.isqrt(rows - 1)
+    span = -(-rows // bands)
+    fs = np.full((bands * span, n + 2), np.iinfo(np.int16).max, dtype=np.int16)
+    _on_page(fs, shape)[...] = f
+    gs = fs.copy()
+    _on_page(gs, shape)[...] += h
+    F, G = fs.reshape(bands, span, -1), gs.reshape(bands, span, -1)
+    t = np.empty((bands, n), dtype=np.int16)
+    # one step per row of a band, over all bands at once, as (neighbour,
+    # neighbour, f, g, buffer) at the page's columns: from (the row before,
+    # this row) in the raster scan and (the row after, this row) in the
+    # anti-raster scan, across the border between bands at a band's end
+    raster, anti = [], []
+    for k in range(span):
+        rows_of = ((G[:, k - 1], G[:, k], F[:, k]) if k else (G[:-1, -1], G[1:, 0], F[1:, 0]),
+                   (G[:, k + 1], G[:, k], F[:, k]) if k < span - 1
+                   else (G[1:, 0], G[:-1, -1], F[:-1, -1]))
+        for steps, (src, dst, fk), col in zip((raster, anti), rows_of, (0, 2)):
+            steps.append((src[:, col : col + n], src[:, 1:-1], fk[:, 1:-1], dst[:, 1:-1],
+                          t[: len(dst)]))
+    total = gs.sum(dtype=np.int64)
     while True:
-        before = g
-        # sweep contiguous rows: the transposed frame, then the frame itself
-        for fv in frames:
-            g = g.T.copy()
-            rows = list(zip(g, fv))  # views, updated in place
-            for sweep in (rows, rows[::-1]):
-                for (gp, _), (gi, fi) in zip(sweep, sweep[1:]):
-                    np.minimum(gi, gp, out=gi)
-                    np.maximum(gi, fi, out=gi)
-        if np.array_equal(g, before):
-            return g
+        for scan in (raster, anti[::-1]):
+            for a, b, fk, gk, tk in scan:
+                np.minimum(a, b, out=tk)
+                np.maximum(tk, fk, out=tk)
+                np.minimum(gk, tk, out=gk)
+        last, total = total, gs.sum(dtype=np.int64)
+        if total == last:
+            g = _on_page(gs, shape)
+            return np.ascontiguousarray(g.T) if tall else g.copy()
 
 
 def regional_minima_markers(grid: ImageGrid, h: int = 0) -> MarkerMap:

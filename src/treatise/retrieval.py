@@ -201,13 +201,19 @@ def index_to_obj(index: Index) -> dict:
     }
 
 
+# counts at or past 2**53 are not exact floats, and far beyond it the BM25
+# float arithmetic overflows
+_COUNT_LIMIT = 2**53
+
+
 def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < _COUNT_LIMIT
 
 
 def _all_counts(values) -> bool:
-    """True when every value is a non-negative int; a bool is not one."""
-    return set(map(type, values)) <= {int} and min(values, default=0) >= 0
+    """True when every value is an int in [0, 2**53); a bool is not one."""
+    return set(map(type, values)) <= {int} and min(values, default=0) >= 0 \
+        and max(values, default=0) < _COUNT_LIMIT
 
 
 def index_from_obj(doc: dict) -> Index:
@@ -220,7 +226,8 @@ def index_from_obj(doc: dict) -> Index:
     docs = doc["docs"]
     if not _all_counts(docs.values()):
         bad = next(doc_id for doc_id, n in docs.items() if not _is_count(n))
-        raise ValueError(f"length of document {bad!r} must be a non-negative integer")
+        raise ValueError(f"length of document {bad!r} "
+                         "must be a non-negative integer below 2**53")
     postings = doc["postings"]
     for tok, plist in postings.items():
         if not isinstance(plist, dict):
@@ -230,7 +237,8 @@ def index_from_obj(doc: dict) -> Index:
                 if doc_id not in docs:
                     raise ValueError(f"posting for unknown document {doc_id!r}")
                 if not _is_count(tf):
-                    raise ValueError(f"tf of {doc_id!r} under {tok!r} must be a non-negative integer")
+                    raise ValueError(f"tf of {doc_id!r} under {tok!r} "
+                                     "must be a non-negative integer below 2**53")
     index = Index()
     index.docs, index.postings = docs, postings
     return index

@@ -97,15 +97,18 @@ def minima_oracle(pixels):
 
 
 def hminima_oracle(pixels, h_depth):
-    """Reconstruction-by-erosion of (f + h) above f via naive full sweeps."""
+    """Reconstruction-by-erosion of (f + h) above f via naive full sweeps,
+    in raster order and then in reverse, so that a long corridor settles in
+    a few dozen sweeps whichever way it winds."""
     hgt = len(pixels)
     wdt = len(pixels[0])
     g = [[min(255, pixels[y][x] + h_depth) for x in range(wdt)] for y in range(hgt)]
+    order = [(y, x) for y in range(hgt) for x in range(wdt)]
     changed = True
     while changed:
         changed = False
-        for y in range(hgt):
-            for x in range(wdt):
+        for sweep in (order, order[::-1]):
+            for y, x in sweep:
                 # geodesic erosion step: min over self and 4-neighbors, floored by f
                 lo = g[y][x]
                 for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0)):
@@ -328,14 +331,15 @@ def index_from_obj_oracle(doc):
     """A snapshot object checked entry by entry: (docs, postings) as fresh
     dicts, or ValueError naming the first bad entry."""
     def is_count(value):
-        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+        return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**53
 
     if not isinstance(doc, dict) or not isinstance(doc.get("docs"), dict) \
             or not isinstance(doc.get("postings"), dict):
         raise ValueError("snapshot must carry docs and postings objects")
     for doc_id, n in doc["docs"].items():
         if not is_count(n):
-            raise ValueError(f"length of document {doc_id!r} must be a non-negative integer")
+            raise ValueError(f"length of document {doc_id!r} "
+                             "must be a non-negative integer below 2**53")
     docs = dict(doc["docs"])
     postings = {}
     for tok, plist in doc["postings"].items():
@@ -345,7 +349,8 @@ def index_from_obj_oracle(doc):
             if doc_id not in docs:
                 raise ValueError(f"posting for unknown document {doc_id!r}")
             if not is_count(tf):
-                raise ValueError(f"tf of {doc_id!r} under {tok!r} must be a non-negative integer")
+                raise ValueError(f"tf of {doc_id!r} under {tok!r} "
+                                 "must be a non-negative integer below 2**53")
         postings[tok] = dict(plist)
     return docs, postings
 

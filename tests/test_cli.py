@@ -647,6 +647,36 @@ def test_search_expand_requires_glossary(tmp_path, capsys):
                "--expand")[0] == 1
 
 
+@pytest.mark.parametrize("hops", ["0", "1"])
+def test_search_hops_requires_expand(tmp_path, capsys, hops):
+    a = human_sidecar(tmp_path, "a.json", "a" * 64, ["keel"])
+    idx = str(tmp_path / "idx.json")
+    run(capsys, "index", "--index", idx, a)
+    code, out, err = run(capsys, "search", "--index", idx, "--query", "keel", "--hops", hops)
+    assert (code, out, err) == (1, "", "error: --hops needs --expand\n")
+    code, out, _ = run(capsys, "search", "--index", idx, "--query", "keel", "--hops", hops,
+                       "--expand", "--glossary", GLOSSARY)
+    assert code == 0 and out.startswith("1\t" + "a" * 64)
+
+
+@pytest.mark.parametrize("field, count", [
+    ("length", 2**53), ("length", 10**400), ("tf", 2**53), ("tf", 10**400)])
+def test_search_rejects_snapshot_counts_past_2_53(tmp_path, capsys, field, count):
+    # counts past float range made BM25 raise OverflowError; 2**53 - 1 still loads
+    idx = tmp_path / "idx.json"
+    for n, want in ((count, 2), (2**53 - 1, 0)):
+        length, tf = (n, 1) if field == "length" else (1, n)
+        idx.write_text(f'{{"docs": {{"a": {length}}}, "postings": {{"keel": {{"a": {tf}}}}}}}')
+        code, out, err = run(capsys, "search", "--index", str(idx), "--query", "keel")
+        assert code == want
+        if want:
+            assert out == ""
+            assert err.count("\n") == 1 and err.startswith(f"error: {field} of ")
+            assert err.endswith("must be a non-negative integer below 2**53\n")
+        else:
+            assert out.startswith("1\ta\t") and err == ""
+
+
 @pytest.mark.parametrize("snapshot, named", [
     ('{"docs": {"a": []}, "postings": {}}', "'a'"),
     ('{"docs": {"a": 1e400}, "postings": {}}', "'a'"),

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,82 @@ class TestMinima:
                 assert raster.suppress_shallow_minima(np.asarray(rows), h).tolist() == recon
                 got = regional_minima_markers(rows_grid(rows), h=h).labels.tolist()
                 assert got == oracles.minima_oracle(recon)
+
+
+def assert_reconstruction(rows, h):
+    """suppress_shallow_minima against hminima_oracle. The oracle starts from
+    min(255, f + h), and the clamp at 255 commutes with every erosion step, so
+    its result is the reconstruction clamped at 255. For h >= 255, f + h at
+    the lowest pixel is above every pixel, so the whole frame rises to it."""
+    f = np.asarray(rows, dtype=np.uint8)
+    got = raster.suppress_shallow_minima(f, h)
+    assert got.dtype == np.int16 and got.shape == f.shape and got.flags.c_contiguous
+    assert np.minimum(got, 255).tolist() == oracles.hminima_oracle(rows, h)
+    if h >= 255:
+        assert (got == int(f.min()) + h).all()
+    got_markers = regional_minima_markers(ImageGrid(f), h=h).labels.tolist()
+    assert got_markers == oracles.minima_oracle(np.minimum(got, 255).tolist())
+
+
+class TestReconstructionScans:
+    """The scans step through the anti-diagonals of an h x w frame (rows and
+    columns swapped when h > w), cut into isqrt(h + w) bands."""
+
+    @pytest.mark.parametrize("h", [1, 255, 256])
+    def test_one_row_and_one_column_frames(self, h):
+        rng = random.Random(h)
+        for n in (1, 2, 3, 5, 17, 64, 301):
+            row = [rng.choice((rng.randint(0, 9), rng.randint(0, 254))) for _ in range(n)]
+            assert_reconstruction([row], h)
+            assert_reconstruction(transposed([row]), h)
+
+    @pytest.mark.parametrize("shapes", [
+        [(1, 1), (1, 2), (2, 1)],  # one band
+        [(2, 2), (1, 3), (3, 1), (2, 5), (3, 4), (4, 3)],  # two bands
+        [(9, 30), (30, 9), (23, 23), (40, 17), (5, 60)],  # 6 to 8 bands
+    ], ids=["one-band", "two-bands", "many-bands"])
+    @pytest.mark.parametrize("h", [1, 2, 4, 255, 256])
+    def test_random_frames_of_one_two_and_many_bands(self, shapes, h):
+        rng = random.Random(len(shapes) * 1000 + h)
+        for hgt, w in shapes:
+            for _ in range(6):
+                top = rng.choice((3, 9, 254))
+                assert_reconstruction(
+                    [[rng.randint(0, top) for _ in range(w)] for _ in range(hgt)], h)
+
+    @pytest.mark.parametrize("h", [1, 4, 16])
+    def test_serpentine_corridors_cross_band_borders(self, h):
+        # the deep end pulls the whole corridor down to its highest bump, so
+        # the reconstruction follows every turn: rightward rows run along the
+        # raster scan, leftward rows against it, and each turn crosses band
+        # borders between 64 x 64's 11 bands
+        rng = random.Random(64 + h)
+        for end in ((0, 0), (63, 62), (0, 62), (31, 30)):
+            snake = serpentine(64, 64, lambda: 100 + rng.randint(0, h + 2), lambda: 250)
+            snake[end[1]][end[0]] = 40
+            for rows in (snake, transposed(snake)):
+                assert_reconstruction(rows, h)
+
+    @pytest.mark.parametrize("h", [1, 255, 256])
+    def test_constant_frames(self, h):
+        for hgt, w in ((1, 1), (1, 7), (7, 1), (5, 5), (3, 40), (40, 3)):
+            for c in (0, 128, 255):
+                assert_reconstruction([[c] * w for _ in range(hgt)], h)
+                got = raster.suppress_shallow_minima(np.full((hgt, w), c, np.uint8), h)
+                assert (got == c + h).all()
+
+    @pytest.mark.parametrize("shape", [(2048, 32), (32, 2048)], ids=["2048x32", "32x2048"])
+    def test_long_thin_frames_peak_bytes_per_pixel(self, shape):
+        # a tall frame is scanned transposed, so the skewed frame is as
+        # narrow as the page's shorter side either way
+        f = np.random.default_rng(32).integers(0, 256, size=shape, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            raster.suppress_shallow_minima(f, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * f.size
 
 
 # ---------------------------------------------------------------------------

@@ -382,7 +382,7 @@ def _mutate_snapshot(obj, rng):
     elif kind == "drop" and docs:
         del docs[rng.choice(sorted(docs))]
     elif kind == "big" and docs:
-        docs[rng.choice(sorted(docs))] = 10 ** rng.randrange(18, 40)
+        docs[rng.choice(sorted(docs))] = rng.choice((2**53 - 1, 2**53, 10 ** rng.randrange(18, 400)))
     elif kind == "top":
         obj[rng.choice(["docs", "postings"])] = rng.choice([[], None, "x"])
 
