@@ -12,6 +12,7 @@ import tempfile
 from pathlib import Path
 
 from treatise import fixtures
+from treatise.backends import BackendClient
 from treatise.catalog import record_to_obj
 from treatise.mockserver import MockBackendServer
 from treatise.pipeline import (
@@ -48,42 +49,37 @@ def main():
         for stage, url in server.endpoints.items():
             print(f"  {stage}: {url}")
 
+        # one client for every backend call; runs share it one after another
+        client = BackendClient(server.endpoints)
+
         # one definition request per glossary entry, cached for next time
         cache = Path(tmp) / "seed.json"
-        seed = build_label_vocabulary(
-            fixtures.glossary(),
-            definer_url=server.endpoints["define"],
-            cache_path=cache,
-        )
+        seed = build_label_vocabulary(fixtures.glossary(), client, cache_path=cache)
         print(f"\nvocabulary seed: {len(seed.terms)} terms -> {cache}")
         for term in seed.terms:
             print(f"  {term}: {seed.entries[term]}")
         build_label_vocabulary(fixtures.glossary(), cache_path=cache)
         print("second build was served from the cache (no definer needed)")
 
-        caption_cfg = PipelineConfig(method="M1", endpoints=server.endpoints)
-        describe(run_pipeline(PAGE, caption_cfg), "caption-derived labels")
+        caption_cfg = PipelineConfig(method="M1")
+        describe(run_pipeline(PAGE, caption_cfg, client=client), "caption-derived labels")
 
-        closed_cfg = PipelineConfig(method="M4", endpoints=server.endpoints,
-                                    vocabulary_path=str(cache))
-        record = run_pipeline(PAGE, closed_cfg, fixtures.glossary(),
-                              fixtures.ontology())
+        record = run_pipeline(PAGE, PipelineConfig(method="M4"), fixtures.glossary(),
+                              fixtures.ontology(), seed=seed, client=client)
         describe(record, "closed-vocabulary tagging with enrichment")
         for sid, items in sorted(record.assignments.items()):
             for a in items:
                 if a.concept_id:
                     print(f"  {a.text!r} linked to concept {a.concept_id}")
 
-        degraded_cfg = PipelineConfig(method="M4b", endpoints=server.endpoints,
-                                      vocabulary_path=str(cache), max_tags=2)
-        describe(run_pipeline(PAGE, degraded_cfg),
+        degraded_cfg = PipelineConfig(method="M4b", max_tags=2)
+        describe(run_pipeline(PAGE, degraded_cfg, seed=seed, client=client),
                  "definition-grounding fallback (flagged degraded)")
 
         # segmentation order is configuration, not behavior: records match
-        first = record_to_obj(run_pipeline(PAGE, caption_cfg))
-        other = PipelineConfig(method="M1", endpoints=server.endpoints,
-                               segmentation_stage="after_labeling")
-        second = record_to_obj(run_pipeline(PAGE, other))
+        first = record_to_obj(run_pipeline(PAGE, caption_cfg, client=client))
+        other = PipelineConfig(method="M1", segmentation_stage="after_labeling")
+        second = record_to_obj(run_pipeline(PAGE, other, client=client))
         first.pop("provenance"), second.pop("provenance")
         print("\nsegment-first and segment-last records equal:",
               first == second)

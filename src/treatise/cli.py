@@ -23,7 +23,7 @@ from dataclasses import replace
 from typing import NamedTuple
 
 from . import evaluation, lexicon, ontology, parse_json, retrieval
-from .backends import BackendError, check_endpoint, resolve_endpoints
+from .backends import BackendClient, BackendError, check_endpoint, resolve_endpoints
 from .catalog import (
     METHODS,
     SidecarValidationError,
@@ -36,7 +36,15 @@ from .catalog import (
     write_sidecar,
 )
 from .mockserver import MockBackendServer, load_fixture_table
-from .pipeline import PipelineConfig, build_label_vocabulary, enrich_labels, run_pipeline
+from .pipeline import (
+    SEEDED_METHODS,
+    PipelineConfig,
+    build_label_vocabulary,
+    check_inputs,
+    enrich_labels,
+    load_vocabulary_seed,
+    run_pipeline,
+)
 from .raster import decode_pgm, encode_pgm
 
 EXIT_OK = 0
@@ -141,12 +149,20 @@ def _given(args, cfg: dict, **params) -> dict:
 
 
 def _knowledge(args, cfg: dict, name: str, required: str | None = None):
-    """The glossary or ontology file that the flag or config names, loaded, or None."""
+    """The glossary, ontology or seed file the flag or config names, loaded, or None."""
     path = _opt(args, cfg, name, required)
     if path is None:
         return None
-    load = lexicon.load_glossary if name == "glossary" else ontology.load_ontology
+    load = {"glossary": lexicon.load_glossary, "ontology": ontology.load_ontology,
+            "vocabulary": load_vocabulary_seed}[name]
     return _read(name, path, load)
+
+
+def _client(cfg: dict) -> BackendClient:
+    """The command's one backend client: the config's endpoints, each overridden
+    by its TREATISE_<STAGE>_URL, and the config's timeout."""
+    return BackendClient(resolve_endpoints(cfg.get("endpoints")),
+                         **_given(None, cfg, timeout="timeout"))
 
 
 def _pipeline_config(args, cfg: dict) -> PipelineConfig:
@@ -154,10 +170,8 @@ def _pipeline_config(args, cfg: dict) -> PipelineConfig:
     method = _METHOD_NAMES.get(method_name.lower())
     if method is None:
         raise ValueError(f"unknown method {method_name!r}")
-    given = _given(args, cfg, endpoints="endpoints", segmentation_stage="seg_stage",
-                   vocabulary_path="vocabulary", tag_vocabulary="tag_vocabulary",
-                   max_tags="max_tags", timeout="timeout", language="language",
-                   h_threshold="h", relief="relief")
+    given = _given(args, cfg, segmentation_stage="seg_stage", tag_vocabulary="tag_vocabulary",
+                   max_tags="max_tags", language="language", h_threshold="h", relief="relief")
     if "tag_vocabulary" in given:
         given["tag_vocabulary"] = tuple(given["tag_vocabulary"])
     return PipelineConfig(method=method, **given)
@@ -185,22 +199,22 @@ def _cmd_pipeline(args) -> int:
     manifest_path = _opt(args, cfg, "manifest")
     if args.infile is None and manifest_path is None:
         raise UsageError("need --in IMAGE or --manifest MANIFEST")
+    seed = _knowledge(args, cfg, "vocabulary") if config.method in SEEDED_METHODS else None
+    client = None if config.method == "native" else _client(cfg)
+    check_inputs(config, client, seed)  # a fault of the whole run stops it before any image
+    inputs = (glossary, onto, seed, client)
     if args.infile is not None:
-        record = run_pipeline(_read("image", args.infile), config, glossary, onto,
+        record = run_pipeline(_read("image", args.infile), config, *inputs,
                               source_path=args.infile)
         out = args.out or sidecar_path(args.infile)
         write_sidecar(record, out)
         _err(f"{len(record.segments)} segments, "
              f"{sum(len(v) for v in record.assignments.values())} labels -> {out}")
         return EXIT_OK
-    return _run_corpus(manifest_path, config, glossary, onto,
-                       force=args.force, workers=args.workers)
+    return _run_corpus(manifest_path, config, inputs, force=args.force, workers=args.workers)
 
 
-def _run_corpus(manifest_path, config, glossary, onto, force=False, workers=None) -> int:
-    if config.method != "native":  # a bad endpoint URL is one error, not one per image
-        for stage, url in resolve_endpoints(config.endpoints).items():
-            check_endpoint(stage, url)
+def _run_corpus(manifest_path, config, inputs, force=False, workers=None) -> int:
     manifest = _read("manifest", manifest_path, load_manifest)
     base = os.path.dirname(os.path.abspath(manifest_path))
     images = [os.path.join(base, rel)
@@ -208,7 +222,7 @@ def _run_corpus(manifest_path, config, glossary, onto, force=False, workers=None
 
     counts = {"processed": 0, "failed": 0, "skipped": 0}
     backend_failure = False
-    job = (config, glossary, onto, force)
+    job = (config, inputs, force)
     with closing(_corpus_results(_corpus_image, images, job, workers)) as results:
         for path, outcome in results:
             if isinstance(outcome, _Failure):
@@ -224,13 +238,13 @@ def _run_corpus(manifest_path, config, glossary, onto, force=False, workers=None
     return EXIT_OK
 
 
-def _corpus_image(path, config, glossary, onto, force) -> str:
+def _corpus_image(path, config, inputs, force) -> str:
     """Run one corpus image; "processed", or "skipped" when its sidecar is current."""
     out = sidecar_path(path)
     blob = _read("image", path)
     if not force and _is_current(out, blob, config.method):
         return "skipped"
-    write_sidecar(run_pipeline(blob, config, glossary, onto, source_path=path), out)
+    write_sidecar(run_pipeline(blob, config, *inputs, source_path=path), out)
     return "processed"
 
 
@@ -323,13 +337,6 @@ def _worker_batch(*items) -> list:
     return [_attempt(task, item, job) for item in items]
 
 
-def _value(outcome):
-    """A task's value; a _Failure is raised as a ValueError, a data error."""
-    if isinstance(outcome, _Failure):
-        raise ValueError(outcome.message)
-    return outcome
-
-
 def _file_size(path) -> int:
     try:
         return os.path.getsize(path)
@@ -356,14 +363,9 @@ def _is_current(sidecar: str, image_bytes: bytes, method: str) -> bool:
 def _cmd_vocab(args) -> int:
     cfg = _load_config(args)
     glossary = _knowledge(args, cfg, "glossary", "vocab needs --glossary (flag or config)")
-    endpoints = resolve_endpoints(cfg.get("endpoints", {}))
     seed = build_label_vocabulary(
-        glossary,
-        definer_url=endpoints.get("define"),
-        cache_path=args.out,
-        **_given(args, cfg, language="language", domain_context="domain_context",
-                 timeout="timeout"),
-    )
+        glossary, _client(cfg), cache_path=args.out,
+        **_given(args, cfg, language="language", domain_context="domain_context"))
     _err(f"{len(seed.entries)} terms -> {args.out}")
     return EXIT_OK
 
@@ -390,7 +392,9 @@ def _cmd_index(args) -> int:
     with closing(_corpus_results(_sidecar_docs, args.sidecars, (),
                                  per_worker=_SIDECARS_PER_WORKER)) as results:
         for _, outcome in results:
-            index.add_image(*_value(outcome))
+            if isinstance(outcome, _Failure):  # a data error: nothing is written
+                raise ValueError(outcome.message)
+            index.add_image(*outcome)
     retrieval.save_index(index, index_path)
     _err(f"{index.doc_count} documents -> {index_path}")
     return EXIT_OK
@@ -611,21 +615,16 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         _check_ranges(args)
-        return args.func(args)
+        outcome = _attempt(args.func, args, ())
     except UsageError as exc:
         _err(f"error: {exc}")
         return EXIT_USAGE
-    except BackendError as exc:
-        _err(f"error: {exc}")
-        return EXIT_BACKEND
-    except (ValueError, KeyError, OSError) as exc:
-        _err(f"error: {exc}")
-        return EXIT_DATA
-    except MemoryError:
-        _err("error: out of memory")
-        return EXIT_DATA
     except KeyboardInterrupt:
         return 130
+    if isinstance(outcome, _Failure):
+        _err(f"error: {outcome.message}")
+        return EXIT_BACKEND if outcome.backend else EXIT_DATA
+    return outcome
 
 
 if __name__ == "__main__":

@@ -17,16 +17,20 @@ Segmentation can run before or after the labeling stages; the emitted
 record is identical either way except for provenance ordering, which is
 what makes the ordering an implementation detail rather than a modeling
 choice.
+
+A PipelineConfig checks itself when made; a run's other inputs come loaded.
+One BackendClient, which holds the endpoints and timeout, may serve many
+runs one after another, but never two at once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import fixtures, lexicon, parse_json
-from .backends import BackendClient, WireSchemaError, resolve_endpoints
+from .backends import BackendClient, WireSchemaError
 from .catalog import (
     METHODS,
     ImageRecord,
@@ -63,6 +67,8 @@ _REQUIRED_STAGES = {
     "native": (),
 }
 
+SEEDED_METHODS = ("M4", "M4b")  # the methods that tag from a vocabulary seed
+
 _SOURCES = {"M1": "caption-derived", "M2": "tagger", "M3": "tagger",
             "M4": "tagger", "M4b": "llm"}
 
@@ -74,28 +80,36 @@ class PipelineConfigError(ValueError):
 @dataclass(frozen=True)
 class PipelineConfig:
     method: str
-    endpoints: dict = field(default_factory=dict)
     segmentation_stage: str = "before_labeling"
-    vocabulary_path: str | None = None
     tag_vocabulary: tuple = ()  # optional closed list for M2/M3
     max_tags: int = 32
-    timeout: float = 10.0
     language: str = "en"
     h_threshold: int = 0          # native path: marker shallowness cutoff
     relief: str = "gradient"      # native path: "gradient" or "raw"
 
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise PipelineConfigError(f"unknown method {self.method!r}")
+        if self.segmentation_stage not in SEGMENTATION_STAGES:
+            raise PipelineConfigError(f"unknown segmentation_stage {self.segmentation_stage!r}")
+        if self.max_tags < 1:
+            raise PipelineConfigError("max_tags must be positive")
+        if self.h_threshold < 0:
+            raise PipelineConfigError("h must be non-negative")
+        if self.relief not in ("gradient", "raw"):
+            raise PipelineConfigError(f"unknown relief {self.relief!r}")
 
-def check_config(config: PipelineConfig) -> None:
-    if config.method not in METHODS:
-        raise PipelineConfigError(f"unknown method {config.method!r}")
-    if config.segmentation_stage not in SEGMENTATION_STAGES:
-        raise PipelineConfigError(f"unknown segmentation_stage {config.segmentation_stage!r}")
-    if config.max_tags < 1:
-        raise PipelineConfigError("max_tags must be positive")
-    if config.relief not in ("gradient", "raw"):
-        raise PipelineConfigError(f"unknown relief {config.relief!r}")
-    if config.method in ("M4", "M4b") and not config.vocabulary_path:
-        raise PipelineConfigError(f"method {config.method} requires vocabulary_path")
+
+def check_inputs(config: PipelineConfig, client: BackendClient | None,
+                 seed: VocabularySeed | None) -> None:
+    """Raise PipelineConfigError unless an M4 or M4b run has a seed and the
+    client has an endpoint for each stage the method calls."""
+    method = config.method
+    if method in SEEDED_METHODS and seed is None:
+        raise PipelineConfigError(f"method {method} needs a vocabulary seed (--vocabulary)")
+    missing = [s for s in _REQUIRED_STAGES[method] if client is None or not client.endpoints.get(s)]
+    if missing:
+        raise PipelineConfigError(f"method {method} needs endpoints for: {', '.join(missing)}")
 
 
 @dataclass(frozen=True)
@@ -176,12 +190,10 @@ def _write_seed(seed: VocabularySeed, path) -> None:
     atomic_write(path, canonical_json_bytes(obj))
 
 
-def build_label_vocabulary(glossary: lexicon.Glossary, definer_url: str | None = None,
+def build_label_vocabulary(glossary: lexicon.Glossary, client: BackendClient | None = None,
                            language: str = "en", cache_path=None,
-                           domain_context: str = DEFAULT_DOMAIN_CONTEXT,
-                           timeout: float = 10.0, client: BackendClient | None = None,
-                           ) -> VocabularySeed:
-    """One definition per glossary entry, fetched from the definer backend.
+                           domain_context: str = DEFAULT_DOMAIN_CONTEXT) -> VocabularySeed:
+    """One definition per glossary entry, fetched through the client's definer.
 
     The result is cached at cache_path keyed by a hash of the glossary and
     the exact prompts; a matching cache satisfies the build with zero
@@ -196,10 +208,8 @@ def build_label_vocabulary(glossary: lexicon.Glossary, definer_url: str | None =
             cached = None
         if cached is not None and cached.source_hash == want_hash:
             return cached
-    if client is None:
-        if not definer_url:
-            raise ValueError("no definer endpoint and no usable cache")
-        client = BackendClient({"define": definer_url}, timeout=timeout)
+    if client is None or not client.endpoints.get("define"):
+        raise ValueError("no definer endpoint and no usable cache")
     entries = {}
     for eid in sorted(glossary.entries):
         head = _headword(glossary.entries[eid], language)
@@ -334,7 +344,7 @@ def _bind_detections(detections, segments, source: str) -> dict:
 
 def run_pipeline(image_bytes: bytes, config: PipelineConfig,
                  glossary: lexicon.Glossary | None = None, ontology=None,
-                 client: BackendClient | None = None,
+                 seed: VocabularySeed | None = None, client: BackendClient | None = None,
                  source_path: str = "") -> ImageRecord:
     """Process one image into an ImageRecord.
 
@@ -342,11 +352,11 @@ def run_pipeline(image_bytes: bytes, config: PipelineConfig,
     to disk, and image_id is computed from image_bytes, so it matches them
     by construction.
 
-    A fresh backend client is created unless one is injected; injecting a
-    shared client across concurrent runs would interleave their call logs,
-    so share only within one image's run.
+    A labeled method needs the `client` (see check_inputs). Runs may share
+    one client one after another, never at the same time: a run's
+    provenance is the slice of the client's call log that it appended.
     """
-    check_config(config)
+    check_inputs(config, client, seed)
     grid = decode_pgm(image_bytes)
     image_id = image_id_for(image_bytes)
 
@@ -358,20 +368,6 @@ def run_pipeline(image_bytes: bytes, config: PipelineConfig,
             assignments={},
             provenance=Provenance(method="native", timestamp=utc_timestamp()),
         )
-
-    if client is None:
-        client = BackendClient(resolve_endpoints(config.endpoints), timeout=config.timeout)
-    missing = [s for s in _REQUIRED_STAGES[config.method] if not client.endpoints.get(s)]
-    if missing:
-        raise PipelineConfigError(
-            f"method {config.method} needs endpoints for: {', '.join(missing)}")
-
-    seed = None
-    if config.method in ("M4", "M4b"):
-        if not os.path.exists(config.vocabulary_path):
-            raise PipelineConfigError(
-                f"vocabulary seed {config.vocabulary_path!r} not found; build it first")
-        seed = read_vocabulary_seed(config.vocabulary_path)
 
     call_start = len(client.calls)
     segments = None

@@ -249,5 +249,9 @@ def save_index(index: Index, path) -> None:
 
 
 def load_index(path) -> Index:
+    """The snapshot at `path`; a ValueError is raised again as `index <path>: <message>`."""
     with open(path, "rb") as fh:
-        return index_from_obj(parse_json(fh.read()))
+        try:
+            return index_from_obj(parse_json(fh.read()))
+        except ValueError as exc:
+            raise ValueError(f"index {path}: {exc}") from exc

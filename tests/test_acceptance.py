@@ -325,20 +325,20 @@ def seed_file(server, tmp_path_factory):
 
 
 def test_acceptance_07_stage_order_is_invisible(server, seed_file):
+    client = BackendClient(server.endpoints)
+    seed = read_vocabulary_seed(seed_file)
     checked = 0
     for method in ("M1", "M2", "M3", "M4", "M4b"):
         for image in PAGES:
             records = []
             for stage in ("before_labeling", "after_labeling"):
                 cfg = PipelineConfig(
-                    method=method, endpoints=server.endpoints,
+                    method=method,
                     segmentation_stage=stage,
                     tag_vocabulary=("Keel", "Scarf")
                     if method in ("M2", "M3") else (),
-                    vocabulary_path=seed_file
-                    if method in ("M4", "M4b") else None,
                 )
-                obj = record_to_obj(run_pipeline(image, cfg))
+                obj = record_to_obj(run_pipeline(image, cfg, seed=seed, client=client))
                 obj.pop("provenance")
                 records.append(obj)
             assert records[0] == records[1]
@@ -349,17 +349,16 @@ def test_acceptance_07_stage_order_is_invisible(server, seed_file):
 
 def test_acceptance_08_closed_vocabulary_and_degraded_flag(server, seed_file):
     seed = read_vocabulary_seed(seed_file)
+    client = BackendClient(server.endpoints)
     for image in PAGES:
-        cfg = PipelineConfig(method="M4", endpoints=server.endpoints,
-                             vocabulary_path=seed_file)
-        record = run_pipeline(image, cfg)
+        cfg = PipelineConfig(method="M4")
+        record = run_pipeline(image, cfg, seed=seed, client=client)
         texts = [a.text for items in record.assignments.values() for a in items]
         assert texts, "mock tagger echoes the vocabulary, so labels exist"
         assert set(texts) <= set(seed.terms)
         assert record.provenance.degraded is False
-        cfg_b = PipelineConfig(method="M4b", endpoints=server.endpoints,
-                               vocabulary_path=seed_file)
-        assert run_pipeline(image, cfg_b).provenance.degraded is True
+        cfg_b = PipelineConfig(method="M4b")
+        assert run_pipeline(image, cfg_b, seed=seed, client=client).provenance.degraded is True
     ok(8, f"every label on {len(PAGES)} pages stays inside the "
           f"{len(seed.terms)}-term seed; every degraded-path record is flagged")
 

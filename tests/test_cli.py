@@ -39,7 +39,7 @@ from treatise.evaluation import load_truth
 from treatise.lexicon import load_glossary
 from treatise.mockserver import MockBackendServer
 from treatise.ontology import load_ontology
-from treatise.pipeline import seed_source_hash
+from treatise.pipeline import load_vocabulary_seed, seed_source_hash
 from treatise.raster import BoundingBox, MaskRLE, Segment, decode_pgm
 from treatise.retrieval import load_index
 
@@ -519,6 +519,79 @@ def test_corpus_bad_endpoint_url_is_one_error(tmp_path, capsys, monkeypatch):
     assert run(capsys, "pipeline", "--manifest", manifest, "--method", "native")[0] == 0
 
 
+# a fault of the whole run: (config keys, method, extra flags, the error line
+# after "error: ")
+RUN_FAULTS = {
+    "relief": ({"relief": "bogus"}, "native", [], "unknown relief 'bogus'"),
+    "seg_stage": ({"seg_stage": "during"}, "m2", [], "unknown segmentation_stage 'during'"),
+    "max_tags": ({"max_tags": 0}, "m2", [], "max_tags must be positive"),
+    "h": ({"h": -1}, "native", [], "h must be non-negative"),
+    "no caption endpoint": ({}, "m1", [], "method M1 needs endpoints for: caption"),
+    "no vocabulary": ({}, "m4", [], "method M4 needs a vocabulary seed (--vocabulary)"),
+    "missing seed": ({}, "m4", ["--vocabulary", "absent.json"],
+                     "[Errno 2] No such file or directory: 'absent.json'"),
+    "seed list": ({}, "m4b", ["--vocabulary", "list.json"],
+                  "vocabulary list.json: vocabulary seed must be a JSON object"),
+    "bad url": ({"endpoints": {"segment": "notaurl"}}, "m1", [],
+                "endpoint segment URL 'notaurl' is not valid"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("fault", sorted(RUN_FAULTS))
+def test_a_fault_of_the_whole_run_is_one_error_before_any_image(tmp_path, capsys, monkeypatch,
+                                                                server, fault, workers):
+    from treatise import cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was made")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    keys, method, flags, message = RUN_FAULTS[fault]
+    keys = dict(keys)
+    endpoints = {s: u for s, u in server.endpoints.items() if s != "caption"}
+    if "endpoints" in keys:  # set through the environment, which the config check does not see
+        monkeypatch.setenv("TREATISE_SEGMENT_URL", keys.pop("endpoints")["segment"])
+    (tmp_path / "cfg.json").write_text(json.dumps({"endpoints": endpoints, **keys}))
+    (tmp_path / "list.json").write_text("[]")
+    manifest = _manifest(tmp_path, ["p1.pgm", "p2.pgm", "p3.pgm"])
+    code, out, err = run(capsys, "pipeline", "--config", "cfg.json", "--manifest", manifest,
+                         "--method", method, "--workers", workers, *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not any(tmp_path.glob("*.segments.json"))
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_corrupt_page_among_good_ones_fails_alone(tmp_path, capsys, config_path, workers):
+    seed = str(tmp_path / "seed.json")
+    assert run(capsys, "vocab", "--config", config_path, "--glossary", GLOSSARY,
+               "--out", seed)[0] == 0
+    manifest = _manifest(tmp_path, ["p1.pgm", "p2.pgm", "p3.pgm"])
+    (tmp_path / "p2.pgm").write_bytes(b"P6 broken")
+    code, out, err = run(capsys, "pipeline", "--config", config_path, "--manifest", manifest,
+                         "--method", "m4", "--vocabulary", seed, "--workers", workers)
+    assert (code, out) == (2, "processed=2 failed=1 skipped=0\n")
+    assert err.count("\n") == 1 and err.startswith(f"{tmp_path / 'p2.pgm'}: ")
+    assert [os.path.exists(tmp_path / f"p{i}.pgm.segments.json") for i in (1, 2, 3)] \
+        == [True, False, True]
+
+
+def test_pipeline_reads_the_seed_once_per_run(tmp_path, capsys, config_path, monkeypatch):
+    from treatise import cli, pipeline
+
+    seed = str(tmp_path / "seed.json")
+    assert run(capsys, "vocab", "--config", config_path, "--glossary", GLOSSARY,
+               "--out", seed)[0] == 0
+    reads = []
+    real = pipeline.load_vocabulary_seed
+    monkeypatch.setattr(cli, "load_vocabulary_seed",
+                        lambda data: reads.append(1) or real(data))
+    manifest = _manifest(tmp_path, ["p1.pgm", "p2.pgm", "p3.pgm"])
+    code, out, _ = run(capsys, "pipeline", "--config", config_path, "--manifest", manifest,
+                       "--method", "m4", "--vocabulary", seed, "--workers", "1")
+    assert (code, out, len(reads)) == (0, "processed=3 failed=0 skipped=0\n", 1)
+
+
 # ------------------------------------------------------------ vocab
 
 def test_vocab_builds_then_serves_from_cache(tmp_path, capsys, config_path):
@@ -533,6 +606,24 @@ def test_vocab_builds_then_serves_from_cache(tmp_path, capsys, config_path):
     assert run(capsys, "vocab", "--glossary", GLOSSARY, "--out", seed)[0] == 0
 
 
+def test_vocab_checks_every_endpoint_url_even_on_a_cache_hit(tmp_path, capsys, config_path,
+                                                             monkeypatch):
+    seed = str(tmp_path / "seed.json")
+    assert run(capsys, "vocab", "--config", config_path, "--glossary", GLOSSARY,
+               "--out", seed)[0] == 0
+    monkeypatch.setenv("TREATISE_TAG_URL", "notaurl")
+    code, out, err = run(capsys, "vocab", "--glossary", GLOSSARY, "--out", seed)
+    assert (code, out, err) == (2, "", "error: endpoint tag URL 'notaurl' is not valid\n")
+
+
+def test_vocab_without_a_definer_or_a_cache_is_a_data_error(tmp_path, capsys, server):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"endpoints": {"tag": server.endpoints["tag"]}}))
+    code, out, err = run(capsys, "vocab", "--config", str(cfg), "--glossary", GLOSSARY,
+                         "--out", str(tmp_path / "seed.json"))
+    assert (code, out, err) == (2, "", "error: no definer endpoint and no usable cache\n")
+
+
 def test_vocab_requires_glossary(tmp_path, capsys, config_path):
     assert run(capsys, "vocab", "--config", config_path,
                "--out", str(tmp_path / "s.json"))[0] == 1
@@ -545,7 +636,7 @@ def test_pipeline_rejects_a_seed_that_is_not_an_object(tmp_path, capsys, config_
     code, out, err = run(capsys, "pipeline", "--config", config_path, "--in", image,
                          "--method", "m4", "--vocabulary", str(seed))
     assert (code, out) == (2, "")
-    assert err == "error: vocabulary seed must be a JSON object\n"
+    assert err == f"error: vocabulary {seed}: vocabulary seed must be a JSON object\n"
     assert not os.path.exists(sidecar_path(image))
 
 
@@ -671,7 +762,7 @@ def test_search_rejects_snapshot_counts_past_2_53(tmp_path, capsys, field, count
         assert code == want
         if want:
             assert out == ""
-            assert err.count("\n") == 1 and err.startswith(f"error: {field} of ")
+            assert err.count("\n") == 1 and err.startswith(f"error: index {idx}: {field} of ")
             assert err.endswith("must be a non-negative integer below 2**53\n")
         else:
             assert out.startswith("1\ta\t") and err == ""
@@ -1331,17 +1422,20 @@ def test_readme_command_lines_parse():
 
 # ------------------------------------------------------------ input files
 
-def _input_files(tmp_path):
-    """A valid file of each fuzzed input kind, by kind, and an image."""
+def _input_files(tmp_path, server):
+    """A valid file of each fuzzed input kind, by kind, and an image; mock.json
+    configures the mock server's endpoints."""
     image = write_image(tmp_path)
     _manifest(tmp_path, ["p1.pgm"])
     human_sidecar(tmp_path, "sidecar.json", "a" * 64, ["quilha"], source="tagger")
     human_sidecar(tmp_path, "truth.json", "a" * 64, ["keel"])
     (tmp_path / "cfg.json").write_text('{"h": 1, "relief": "gradient"}')
+    (tmp_path / "mock.json").write_text(json.dumps({"endpoints": server.endpoints}))
     main(["index", "--index", "idx.json", "sidecar.json"])
+    main(["vocab", "--config", "mock.json", "--glossary", GLOSSARY, "--out", "seed.json"])
     files = {"sidecar": "sidecar.json", "truth": "truth.json", "manifest": "manifest.json",
              "glossary": GLOSSARY, "ontology": ONTOLOGY, "config": "cfg.json",
-             "snapshot": "idx.json"}
+             "index": "idx.json", "vocabulary": "seed.json"}
     return {kind: Path(path).read_bytes() for kind, path in files.items()}, image
 
 
@@ -1363,6 +1457,9 @@ def _argv(reader, path, image):
         "mock-serve": ["mock-serve", "--fixtures", path],
         "segment": ["segment", "--config", path, "--in", image, "--out", "out.json"],
         "search": ["search", "--index", path, "--query", "quilha keel"],
+        "index --index": ["index", "--index", path, "sidecar.json"],
+        "pipeline --vocabulary": ["pipeline", "--config", "mock.json", "--in", image,
+                                  "--method", "m4b", "--vocabulary", path],
     }[reader]
 
 
@@ -1372,10 +1469,11 @@ def _argv(reader, path, image):
     ("index", "sidecar"), ("enrich", "sidecar"), ("eval --pred", "sidecar"),
     ("overlay", "sidecar"), ("eval --truth", "truth"), ("pipeline", "manifest"),
     ("vocab", "glossary"), ("enrich --ontology", "ontology"), ("mock-serve", "fixtures"),
-    ("segment", "config"),
+    ("segment", "config"), ("search", "index"), ("index --index", "index"),
+    ("pipeline --vocabulary", "vocabulary"),
 ])
-def test_an_unreadable_input_file_is_named(tmp_path, capsys, reader, kind, data):
-    _, image = _input_files(tmp_path)
+def test_an_unreadable_input_file_is_named(tmp_path, capsys, server, reader, kind, data):
+    _, image = _input_files(tmp_path, server)
     bad = tmp_path / f"bad-{kind}.json"
     bad.write_bytes(data)
     capsys.readouterr()
@@ -1408,7 +1506,9 @@ _FUZZED = {
     "glossary": ("search --expand", lambda path: load_glossary(path.read_bytes())),
     "ontology": ("enrich --ontology", lambda path: load_ontology(path.read_bytes())),
     "config": ("segment", lambda path: _load_config(argparse.Namespace(config=str(path)))),
-    "snapshot": ("search", load_index),
+    "index": ("search", load_index),
+    "vocabulary": ("pipeline --vocabulary",
+                   lambda path: load_vocabulary_seed(path.read_bytes())),
 }
 
 _edits = st.lists(st.tuples(st.integers(0, 1 << 16),
@@ -1422,8 +1522,8 @@ _edits = st.lists(st.tuples(st.integers(0, 1 << 16),
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edits=_edits)
-def test_mutated_input_files_exit_0_or_2_with_one_line(tmp_path, capsys, kind, edits):
-    good, image = _input_files(tmp_path)
+def test_mutated_input_files_exit_0_or_2_with_one_line(tmp_path, capsys, server, kind, edits):
+    good, image = _input_files(tmp_path, server)
     reader, load = _FUZZED[kind]
     path = tmp_path / f"fuzz-{kind}.json"
     path.write_bytes(_mutate(good[kind], edits))
@@ -1438,8 +1538,9 @@ def test_mutated_input_files_exit_0_or_2_with_one_line(tmp_path, capsys, kind, e
     assert "Traceback" not in err and err.count("\n") <= 1
     if rejected:
         assert code == 2 and err.count("\n") == 1
-        if kind != "snapshot":  # `search` reads its snapshot through retrieval.load_index
-            assert err.startswith(f"error: {kind} {path}: ")
+        assert err.startswith(f"error: {kind} {path}: ")
+    elif kind == "vocabulary":  # any seed the loader accepts labels the page
+        assert code == 0
 
 
 # ------------------------------------------------------------ index in workers

@@ -33,7 +33,7 @@ from treatise.pipeline import (
     VocabularySeed,
     build_definition_prompt,
     build_label_vocabulary,
-    check_config,
+    check_inputs,
     derive_tags_from_caption,
     enrich_labels,
     load_vocabulary_seed,
@@ -77,6 +77,11 @@ def server():
 
 
 @pytest.fixture()
+def client(server):
+    return BackendClient(server.endpoints)
+
+
+@pytest.fixture()
 def seed_path(tmp_path, server, parts_glossary):
     path = tmp_path / "seed.json"
     client = BackendClient({"define": server.endpoints["define"]})
@@ -86,37 +91,43 @@ def seed_path(tmp_path, server, parts_glossary):
 
 # ---------------------------------------------------------------- config
 
+# a PipelineConfig checks itself when made; check_inputs checks a run's seed and client
+
 def test_check_config_accepts_defaults():
-    check_config(PipelineConfig(method="native"))
-    check_config(PipelineConfig(method="M1"))
+    PipelineConfig(method="native")
+    PipelineConfig(method="M1")
 
 
 def test_check_config_rejects_unknown_method():
     with pytest.raises(PipelineConfigError):
-        check_config(PipelineConfig(method="M9"))
+        PipelineConfig(method="M9")
 
 
 def test_check_config_rejects_unknown_stage_order():
-    cfg = PipelineConfig(method="M1", segmentation_stage="during")
     with pytest.raises(PipelineConfigError):
-        check_config(cfg)
+        PipelineConfig(method="M1", segmentation_stage="during")
 
 
 def test_check_config_rejects_nonpositive_max_tags():
     with pytest.raises(PipelineConfigError):
-        check_config(PipelineConfig(method="M1", max_tags=0))
+        PipelineConfig(method="M1", max_tags=0)
 
 
 def test_check_config_rejects_unknown_relief():
     with pytest.raises(PipelineConfigError):
-        check_config(PipelineConfig(method="native", relief="sobel"))
+        PipelineConfig(method="native", relief="sobel")
+
+
+def test_pipeline_config_rejects_a_negative_h():
+    with pytest.raises(PipelineConfigError, match="h must be non-negative"):
+        PipelineConfig(method="native", h_threshold=-1)
 
 
 @pytest.mark.parametrize("method", ["M4", "M4b"])
-def test_check_config_requires_seed_path_for_m4_family(method):
-    with pytest.raises(PipelineConfigError):
-        check_config(PipelineConfig(method=method))
-    check_config(PipelineConfig(method=method, vocabulary_path="seed.json"))
+def test_check_config_requires_seed_path_for_m4_family(method, client):
+    with pytest.raises(PipelineConfigError, match="--vocabulary"):
+        check_inputs(PipelineConfig(method=method), client, None)
+    check_inputs(PipelineConfig(method=method), client, VocabularySeed({"keel": "x"}, "h"))
 
 
 # ------------------------------------------------------- caption tags
@@ -219,7 +230,7 @@ def test_build_vocabulary_cold_calls_definer_once_per_entry(
 
 def test_build_vocabulary_warm_cache_needs_no_backend(
         seed_path, parts_glossary):
-    # no definer_url and no client: only the cache can satisfy this
+    # no client: only the cache can satisfy this
     seed = build_label_vocabulary(parts_glossary, cache_path=seed_path)
     assert len(seed.entries) == 5
     assert seed.source_hash == seed_source_hash(parts_glossary, "en")
@@ -244,6 +255,8 @@ def test_build_vocabulary_rebuilds_over_corrupt_cache(
 
 class _FlakyDefiner:
     """Duck-typed stand-in: fails on the n-th define call."""
+
+    endpoints = {"define": "http://definer/v1/define"}
 
     def __init__(self, fail_at):
         self.prompts = []
@@ -383,9 +396,9 @@ def test_native_figure_page_peak_bytes_per_pixel():
 
 # ------------------------------------------------------- wire methods
 
-def test_m1_caption_derived_labels(server):
-    cfg = PipelineConfig(method="M1", endpoints=server.endpoints)
-    record = run_pipeline(IMG, cfg, source_path="page.pgm")
+def test_m1_caption_derived_labels(client):
+    cfg = PipelineConfig(method="M1")
+    record = run_pipeline(IMG, cfg, client=client, source_path="page.pgm")
     assert record.image_caption == FALLBACK_CAPTION
     expected_tags = derive_tags_from_caption(FALLBACK_CAPTION, 32)
     assert expected_tags  # the fallback caption has content words
@@ -400,10 +413,9 @@ def test_m1_caption_derived_labels(server):
     assert record.source_path == "page.pgm"
 
 
-def test_m2_closed_vocabulary_canonicalizes_and_dedups(server):
-    cfg = PipelineConfig(method="M2", endpoints=server.endpoints,
-                         tag_vocabulary=("Keel", "keels", "Scarf"))
-    record = run_pipeline(IMG, cfg)
+def test_m2_closed_vocabulary_canonicalizes_and_dedups(client):
+    cfg = PipelineConfig(method="M2", tag_vocabulary=("Keel", "keels", "Scarf"))
+    record = run_pipeline(IMG, cfg, client=client)
     labels = record.assignments[1]
     # "keels" folds into the canonical "Keel"; order of first appearance
     assert [a.text for a in labels] == ["Keel", "Scarf"]
@@ -413,30 +425,28 @@ def test_m2_closed_vocabulary_canonicalizes_and_dedups(server):
     assert all(a.text in vocab for a in labels)
 
 
-def test_m2_empty_tag_list_skips_grounding(server):
-    cfg = PipelineConfig(method="M2", endpoints=server.endpoints)
-    record = run_pipeline(IMG, cfg)
+def test_m2_empty_tag_list_skips_grounding(client):
+    cfg = PipelineConfig(method="M2")
+    record = run_pipeline(IMG, cfg, client=client)
     assert record.assignments == {}
     assert set(record.provenance.backend_ids) == {"segment", "tag"}
     assert len(record.provenance.prompt_hashes) == 2
 
 
-def test_m3_shares_the_m2_graph(server):
-    cfg = PipelineConfig(method="M3", endpoints=server.endpoints,
-                         tag_vocabulary=("Keel",))
-    record = run_pipeline(IMG, cfg)
+def test_m3_shares_the_m2_graph(client):
+    cfg = PipelineConfig(method="M3", tag_vocabulary=("Keel",))
+    record = run_pipeline(IMG, cfg, client=client)
     assert record.provenance.method == "M3"
     assert [a.text for a in record.assignments[1]] == ["Keel"]
     assert record.assignments[1][0].source == "tagger"
 
 
-def test_m4_grounds_the_seed_vocabulary(server, seed_path, parts_glossary,
+def test_m4_grounds_the_seed_vocabulary(client, seed_path, parts_glossary,
                                         ship_ontology):
     seed = read_vocabulary_seed(seed_path)
-    cfg = PipelineConfig(method="M4", endpoints=server.endpoints,
-                         vocabulary_path=str(seed_path))
+    cfg = PipelineConfig(method="M4")
     record = run_pipeline(IMG, cfg, glossary=parts_glossary,
-                          ontology=ship_ontology)
+                          ontology=ship_ontology, seed=seed, client=client)
     labels = record.assignments[1]
     assert [a.text for a in labels] == list(seed.terms)
     assert all(a.source == "tagger" for a in labels)
@@ -450,18 +460,17 @@ def test_m4_grounds_the_seed_vocabulary(server, seed_path, parts_glossary,
     assert record.provenance.degraded is False
 
 
-def test_m4_without_ontology_skips_enrichment(server, seed_path, parts_glossary):
-    cfg = PipelineConfig(method="M4", endpoints=server.endpoints,
-                         vocabulary_path=str(seed_path))
-    record = run_pipeline(IMG, cfg, glossary=parts_glossary)
+def test_m4_without_ontology_skips_enrichment(client, seed_path, parts_glossary):
+    cfg = PipelineConfig(method="M4")
+    record = run_pipeline(IMG, cfg, glossary=parts_glossary,
+                          seed=read_vocabulary_seed(seed_path), client=client)
     assert all(a.concept_id is None for a in record.assignments[1])
 
 
-def test_m4b_sends_definitions_as_tags(server, seed_path):
+def test_m4b_sends_definitions_as_tags(client, seed_path):
     seed = read_vocabulary_seed(seed_path)
-    cfg = PipelineConfig(method="M4b", endpoints=server.endpoints,
-                         vocabulary_path=str(seed_path))
-    record = run_pipeline(IMG, cfg)
+    cfg = PipelineConfig(method="M4b")
+    record = run_pipeline(IMG, cfg, seed=seed, client=client)
     labels = record.assignments[1]
     assert [a.text for a in labels] == [seed.entries[t] for t in seed.terms]
     assert all(a.source == "llm" for a in labels)
@@ -469,21 +478,19 @@ def test_m4b_sends_definitions_as_tags(server, seed_path):
     assert set(record.provenance.backend_ids) == {"segment", "ground"}
 
 
-def test_m4b_max_tags_truncates_in_term_order(server, seed_path):
+def test_m4b_max_tags_truncates_in_term_order(client, seed_path):
     seed = read_vocabulary_seed(seed_path)
-    cfg = PipelineConfig(method="M4b", endpoints=server.endpoints,
-                         vocabulary_path=str(seed_path), max_tags=2)
-    record = run_pipeline(IMG, cfg)
+    cfg = PipelineConfig(method="M4b", max_tags=2)
+    record = run_pipeline(IMG, cfg, seed=seed, client=client)
     assert [a.text for a in record.assignments[1]] == [
         seed.entries[seed.terms[0]], seed.entries[seed.terms[1]]]
 
 
-def test_segmentation_stage_is_an_implementation_detail(server):
+def test_segmentation_stage_is_an_implementation_detail(client):
     records = {}
     for stage in ("before_labeling", "after_labeling"):
-        cfg = PipelineConfig(method="M1", endpoints=server.endpoints,
-                             segmentation_stage=stage)
-        records[stage] = run_pipeline(IMG, cfg)
+        cfg = PipelineConfig(method="M1", segmentation_stage=stage)
+        records[stage] = run_pipeline(IMG, cfg, client=client)
     objs = {}
     for stage, rec in records.items():
         obj = record_to_obj(rec)
@@ -497,10 +504,9 @@ def test_segmentation_stage_is_an_implementation_detail(server):
     assert before.prompt_hashes != after.prompt_hashes
 
 
-def test_prompt_hashes_match_the_wire_bodies(server):
-    cfg = PipelineConfig(method="M2", endpoints=server.endpoints,
-                         tag_vocabulary=("Keel", "keels", "Scarf"))
-    record = run_pipeline(IMG, cfg)
+def test_prompt_hashes_match_the_wire_bodies(server, client):
+    cfg = PipelineConfig(method="M2", tag_vocabulary=("Keel", "keels", "Scarf"))
+    record = run_pipeline(IMG, cfg, client=client)
     image = b64(IMG)
     expected = (
         digest({"image_b64": image}),
@@ -518,34 +524,27 @@ def test_prompt_hashes_match_the_wire_bodies(server):
 def test_injected_client_provenance_covers_only_this_run(server):
     client = BackendClient(server.endpoints)
     client.segment(IMG)  # unrelated earlier traffic on the same client
-    cfg = PipelineConfig(method="M2", endpoints={})
+    cfg = PipelineConfig(method="M2")
     record = run_pipeline(IMG, cfg, client=client)
     assert len(record.provenance.prompt_hashes) == 2
     assert len(client.calls) == 3
 
 
-def test_wire_records_validate(server):
-    cfg = PipelineConfig(method="M1", endpoints=server.endpoints)
-    record = run_pipeline(IMG, cfg)
+def test_wire_records_validate(client):
+    cfg = PipelineConfig(method="M1")
+    record = run_pipeline(IMG, cfg, client=client)
     assert validate_record(record, IMG) == []
 
 
 # ------------------------------------------------------- wire errors
 
 def test_missing_endpoints_are_reported(server):
-    cfg = PipelineConfig(method="M1",
-                         endpoints={"segment": server.endpoints["segment"]})
+    cfg = PipelineConfig(method="M1")
+    client = BackendClient({"segment": server.endpoints["segment"]})
     with pytest.raises(PipelineConfigError) as err:
-        run_pipeline(IMG, cfg)
+        run_pipeline(IMG, cfg, client=client)
     assert "caption" in str(err.value)
     assert "ground" in str(err.value)
-
-
-def test_missing_seed_file_is_a_config_error(server, tmp_path):
-    cfg = PipelineConfig(method="M4", endpoints=server.endpoints,
-                         vocabulary_path=str(tmp_path / "absent.json"))
-    with pytest.raises(PipelineConfigError, match="build it first"):
-        run_pipeline(IMG, cfg)
 
 
 def test_run_pipeline_checks_config_first():
@@ -558,9 +557,9 @@ def test_wire_segment_past_frame_is_rejected():
         {"bbox": [3, 3, 2, 2], "mask": {"counts": [0, 4]}},
     ]}}}
     with MockBackendServer(fixtures=table) as srv:
-        cfg = PipelineConfig(method="M2", endpoints=srv.endpoints)
+        cfg = PipelineConfig(method="M2")
         with pytest.raises(WireSchemaError, match="past the frame"):
-            run_pipeline(IMG, cfg)
+            run_pipeline(IMG, cfg, client=BackendClient(srv.endpoints))
 
 
 def test_wire_empty_masks_are_dropped_and_ids_reflowed():
@@ -569,8 +568,8 @@ def test_wire_empty_masks_are_dropped_and_ids_reflowed():
         {"bbox": [0, 0, 4, 4], "mask": {"counts": [0, 16]}},
     ]}}}
     with MockBackendServer(fixtures=table) as srv:
-        cfg = PipelineConfig(method="M2", endpoints=srv.endpoints)
-        record = run_pipeline(IMG, cfg)
+        cfg = PipelineConfig(method="M2")
+        record = run_pipeline(IMG, cfg, client=BackendClient(srv.endpoints))
     assert [s.id for s in record.segments] == [1]
     assert record.segments[0].bbox == BoundingBox(0, 0, 4, 4)
 
@@ -581,8 +580,8 @@ def test_wire_loose_boxes_are_tightened():
         {"bbox": [0, 0, 4, 4], "mask": {"counts": [5, 1, 10]}},
     ]}}}
     with MockBackendServer(fixtures=table) as srv:
-        cfg = PipelineConfig(method="M2", endpoints=srv.endpoints)
-        record = run_pipeline(IMG, cfg)
+        cfg = PipelineConfig(method="M2")
+        record = run_pipeline(IMG, cfg, client=BackendClient(srv.endpoints))
     seg = record.segments[0]
     assert seg.bbox == BoundingBox(1, 1, 1, 1)
     assert seg.area == 1
