@@ -476,15 +476,19 @@ def record_to_bytes(record: ImageRecord) -> bytes:
     return b"%s,\"segments\":[%s],%s" % (head[:-1], segments, tail[1:])
 
 
-def atomic_write(destination, data: bytes) -> None:
-    """Write bytes so that the file appears whole or not at all: a temp file
-    in the same directory, renamed over the destination."""
+def atomic_write(destination, data) -> None:
+    """Write bytes, or an iterable of byte chunks, so that the file appears
+    whole or not at all: a temp file in the same directory, renamed over the
+    destination."""
     destination = os.fspath(destination)
     directory = os.path.dirname(destination) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            if isinstance(data, bytes):
+                fh.write(data)
+            else:
+                fh.writelines(data)
         os.replace(tmp, destination)
     except BaseException:
         try:

@@ -239,12 +239,19 @@ def _run_corpus(manifest_path, config, inputs, force=False, workers=None) -> int
 
 
 def _corpus_image(path, config, inputs, force) -> str:
-    """Run one corpus image; "processed", or "skipped" when its sidecar is current."""
+    """Run one corpus image; "processed", or "skipped" when its sidecar is current.
+    The command's client forgets the page's calls once the page is done, so
+    its call log holds one page at most."""
     out = sidecar_path(path)
     blob = _read("image", path)
     if not force and _is_current(out, blob, config.method):
         return "skipped"
-    write_sidecar(run_pipeline(blob, config, *inputs, source_path=path), out)
+    client = inputs[3]
+    try:
+        write_sidecar(run_pipeline(blob, config, *inputs, source_path=path), out)
+    finally:
+        if client is not None:
+            client.calls.clear()
     return "processed"
 
 
@@ -415,7 +422,6 @@ def _cmd_search(args) -> int:
         raise UsageError("--hops needs --expand")
     cfg = _load_config(args)
     index_path = _opt(args, cfg, "index", "search needs --index SNAPSHOT (flag or config)")
-    index = retrieval.load_index(index_path)
     terms = args.query.split()
     glossary = onto = None
     if args.expand:
@@ -423,6 +429,8 @@ def _cmd_search(args) -> int:
         onto = _knowledge(args, cfg, "ontology")
     query = retrieval.expand_query(terms, glossary, onto,
                                    **(_given(args, {}, hops="hops") if args.expand else {}))
+    # the query first, so the index need hold only its tokens' posting lists
+    index = retrieval.load_index(index_path, query.tokens())
     hits = retrieval.search(index, query, **_given(args, {}, k="k", kind="kind"))
     for rank, hit in enumerate(hits, start=1):
         print(f"{rank}\t{hit.doc_id}\t{hit.score:.6f}")

@@ -12,7 +12,10 @@ ties break on doc_id ascending.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 from . import lexicon, parse_json
@@ -190,17 +193,6 @@ def search(index: Index, query: Query, k: int = 10, kind: str = "all") -> list:
     return [SearchHit(doc_id=d, score=s) for d, s in ranked[:k]]
 
 
-def index_to_obj(index: Index) -> dict:
-    """The snapshot object of the index. It shares the index's own `docs`
-    and `postings` dicts rather than copying them."""
-    return {
-        "schema_version": 1,
-        "doc_count": index.doc_count,
-        "docs": index.docs,
-        "postings": index.postings,
-    }
-
-
 # counts at or past 2**53 are not exact floats, and far beyond it the BM25
 # float arithmetic overflows
 _COUNT_LIMIT = 2**53
@@ -228,6 +220,10 @@ def index_from_obj(doc: dict) -> Index:
         bad = next(doc_id for doc_id, n in docs.items() if not _is_count(n))
         raise ValueError(f"length of document {bad!r} "
                          "must be a non-negative integer below 2**53")
+    if "doc_count" in doc and not (_is_count(doc["doc_count"])
+                                   and doc["doc_count"] == len(docs)):
+        raise ValueError(f"doc_count {doc['doc_count']!r} is not the number "
+                         f"of documents, {len(docs)}")
     postings = doc["postings"]
     for tok, plist in postings.items():
         if not isinstance(plist, dict):
@@ -244,14 +240,110 @@ def index_from_obj(doc: dict) -> Index:
     return index
 
 
+_DOCS = object()  # the doc table's place among a snapshot's parts
+
+
+def _snapshot_parts(index: Index):
+    """The snapshot's canonical JSON in order, as (bytes, part) pairs: part is
+    _DOCS for the doc table, a token for its posting list, and None for the
+    bytes between them. Joined, the bytes are `canonical_json_bytes` of
+    {"schema_version": 1, "doc_count": ..., "docs": ..., "postings": ...}."""
+    yield b'{"doc_count":%d,"docs":' % index.doc_count, None
+    yield canonical_json_bytes(index.docs), _DOCS
+    yield b',"postings":{', None
+    for i, tok in enumerate(sorted(index.postings)):
+        yield (b"," if i else b"") + canonical_json_bytes(tok) + b":", None
+        yield canonical_json_bytes(index.postings[tok]), tok
+    yield b'},"schema_version":1}', None
+
+
+def _toc_path(path) -> str:
+    return os.fspath(path) + ".toc"
+
+
 def save_index(index: Index, path) -> None:
-    atomic_write(path, canonical_json_bytes(index_to_obj(index)))
+    """Write the snapshot, then its table of contents to `<path>.toc`: the
+    byte span of the doc table and of each token's posting list, and the
+    SHA-256 of the snapshot's bytes, a NUL byte and those spans. Each file is
+    written atomically, the snapshot in chunks hashed as they go; a crash
+    between the two leaves a table that no longer binds, which `load_index`
+    ignores."""
+    digest = hashlib.sha256()
+    spans: dict = {}
+
+    def chunks():
+        offset = 0
+        for chunk, part in _snapshot_parts(index):
+            digest.update(chunk)
+            if part is not None:
+                spans[part] = [offset, offset + len(chunk)]
+            offset += len(chunk)
+            yield chunk
+
+    atomic_write(path, chunks())
+    table = {"docs": spans.pop(_DOCS), "postings": spans}
+    digest.update(b"\0" + canonical_json_bytes(table))
+    atomic_write(_toc_path(path), canonical_json_bytes({**table, "sha256": digest.hexdigest()}))
 
 
-def load_index(path) -> Index:
-    """The snapshot at `path`; a ValueError is raised again as `index <path>: <message>`."""
+def _read_toc(path, size: int):
+    """The JSON of the table of contents beside the snapshot at `path`, of
+    `size` bytes; None when it is missing, not a regular file, larger than
+    the snapshot, or not JSON."""
+    toc = _toc_path(path)
+    try:
+        info = os.stat(toc)
+        if not stat.S_ISREG(info.st_mode) or info.st_size > size:
+            return None
+        with open(toc, "rb") as fh:
+            return parse_json(fh.read(size + 1))
+    except (OSError, ValueError):
+        return None
+
+
+def _is_span(value, size: int) -> bool:
+    return (isinstance(value, list) and len(value) == 2 and set(map(type, value)) <= {int}
+            and 0 <= value[0] <= value[1] <= size)
+
+
+def _load_part(data: bytes, toc, tokens) -> Index | None:
+    """The index of the doc table and the posting lists of `tokens`, parsed
+    at the spans of the table of contents `toc`, when its digest binds it to
+    `data`; None when it does not. Raises ValueError when the spans hold no
+    snapshot parts."""
+    if not (isinstance(toc, dict) and toc.keys() == {"docs", "postings", "sha256"}
+            and _is_span(toc["docs"], len(data)) and isinstance(toc["postings"], dict)
+            and all(_is_span(s, len(data)) for s in toc["postings"].values())):
+        return None
+    spans = toc["postings"]
+    digest = hashlib.sha256(data)
+    digest.update(b"\0" + canonical_json_bytes({"docs": toc["docs"], "postings": spans}))
+    if digest.hexdigest() != toc["sha256"]:
+        return None
+    return index_from_obj({
+        "docs": parse_json(data[slice(*toc["docs"])]),
+        "postings": {tok: parse_json(data[slice(*spans[tok])])
+                     for tok in tokens if tok in spans},
+    })
+
+
+def load_index(path, tokens=None) -> Index:
+    """The snapshot at `path`; a ValueError is raised again as `index <path>: <message>`.
+    Given a query's `tokens`, only the doc table and those tokens' posting
+    lists are parsed, when the table of contents beside the snapshot binds to
+    its bytes; the index then holds no other posting list. A table that is
+    missing, unreadable, stale or wrong is never an error: the whole snapshot
+    is parsed, as without `tokens`."""
     with open(path, "rb") as fh:
+        data = fh.read()
+    if tokens is not None:
         try:
-            return index_from_obj(parse_json(fh.read()))
-        except ValueError as exc:
-            raise ValueError(f"index {path}: {exc}") from exc
+            index = _load_part(data, _read_toc(path, len(data)), tokens)
+            if index is not None:
+                return index
+        except ValueError:
+            pass  # spans that bind but hold no snapshot parts: parse it all
+    try:
+        return index_from_obj(parse_json(data))
+    except ValueError as exc:
+        raise ValueError(f"index {path}: {exc}") from exc

@@ -341,6 +341,9 @@ def index_from_obj_oracle(doc):
             raise ValueError(f"length of document {doc_id!r} "
                              "must be a non-negative integer below 2**53")
     docs = dict(doc["docs"])
+    if "doc_count" in doc and not (is_count(doc["doc_count"]) and doc["doc_count"] == len(docs)):
+        raise ValueError(f"doc_count {doc['doc_count']!r} is not the number "
+                         f"of documents, {len(docs)}")
     postings = {}
     for tok, plist in doc["postings"].items():
         if not isinstance(plist, dict):

@@ -4,6 +4,7 @@ Covers the exit-code contract (0 ok, 1 usage, 2 data, 3 backend), config
 file handling, and a round trip through every subcommand."""
 
 import argparse
+import hashlib
 import json
 import multiprocessing
 import os
@@ -22,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_pgm, mock_reply, reply_server, scripted_server
+from recordgen import fuzz_record
 from treatise import backends
 from treatise.catalog import (
     ImageRecord,
@@ -776,6 +778,10 @@ def test_search_rejects_snapshot_counts_past_2_53(tmp_path, capsys, field, count
     ('{"docs": {"a": 1}, "postings": {"keel": {"a": null}}}', "'keel'"),
     ('{"docs": {"a": 1}, "postings": {"keel": {"a": 1.5}}}', "'keel'"),
     ('{"docs": {"a": 1}, "postings": {"keel": {"a": true}}}', "'keel'"),
+    ('{"doc_count": 2, "docs": {"a": 1}, "postings": {}}',
+     "doc_count 2 is not the number of documents, 1"),
+    ('{"doc_count": true, "docs": {"a": 1}, "postings": {}}', "doc_count True is not"),
+    ('{"doc_count": "1", "docs": {"a": 1}, "postings": {}}', "doc_count '1' is not"),
 ])
 def test_search_rejects_malformed_snapshot_counts(tmp_path, capsys, snapshot, named):
     idx = tmp_path / "idx.json"
@@ -789,6 +795,100 @@ def test_search_rejects_malformed_snapshot_counts(tmp_path, capsys, snapshot, na
 def test_index_requires_snapshot_path(tmp_path, capsys):
     a = human_sidecar(tmp_path, "a.json", "a" * 64, ["keel"])
     assert run(capsys, "index", a)[0] == 1
+
+
+def _fuzzed_index(tmp_path, capsys, n, seed, name="idx.json"):
+    """An index of n seeded recordgen records, written by `index`; its path."""
+    rng = random.Random(seed)
+    sidecars = []
+    for i in range(n):
+        sidecars.append(str(tmp_path / f"{name}-{i}.segments.json"))
+        write_sidecar(fuzz_record(rng)[0], sidecars[-1])
+    idx = tmp_path / name
+    assert run(capsys, "index", "--index", str(idx), *sidecars)[0] == 0
+    return idx
+
+
+_QUERIES = [
+    ["--query", "keel"],
+    ["--query", "timber hull frame", "--k", "25"],
+    ["--query", "quilha", "--expand", "--glossary", GLOSSARY],
+    ["--query", "codaste escarva", "--expand", "--glossary", GLOSSARY, "--ontology", ONTOLOGY,
+     "--hops", "1"],
+    ["--query", "heel keel", "--kind", "image"],
+    ["--query", "plank", "--kind", "segment", "--k", "3"],
+    ["--query", "ghost"],
+]
+
+
+def _parsed_sizes(monkeypatch):
+    """The size of each input that retrieval hands the JSON decoder, from now on."""
+    from treatise import retrieval
+
+    sizes = []
+    real = retrieval.parse_json
+
+    def recording(data, *args, **kwargs):
+        sizes.append(len(data))
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(retrieval, "parse_json", recording)
+    return sizes
+
+
+def test_search_reads_only_the_toc_spans_and_answers_as_without_it(tmp_path, capsys,
+                                                                    monkeypatch):
+    idx = _fuzzed_index(tmp_path, capsys, 40, 25)
+    toc = Path(f"{idx}.toc")
+    size = idx.stat().st_size
+    sizes = _parsed_sizes(monkeypatch)
+    with_toc = [run(capsys, "search", "--index", str(idx), *q) for q in _QUERIES]
+    assert sizes and max(sizes) < size / 2  # the decoder never sees the whole snapshot
+    toc.unlink()
+    del sizes[:]
+    without = [run(capsys, "search", "--index", str(idx), *q) for q in _QUERIES]
+    assert sizes.count(size) == len(_QUERIES)
+    assert with_toc == without
+    assert [code for code, _, _ in without] == [0] * len(_QUERIES)
+    assert sum(bool(out) for _, out, _ in without) >= 5
+
+
+@pytest.mark.parametrize("toc", ["directory", "larger than the snapshot", "another snapshot's",
+                                 "stale", "forged"])
+def test_search_ignores_a_toc_that_does_not_bind(tmp_path, capsys, monkeypatch, toc):
+    idx = _fuzzed_index(tmp_path, capsys, 20, 3)
+    path = Path(f"{idx}.toc")
+    argv = ["search", "--index", str(idx), "--query", "keel frame"]
+    answer = run(capsys, *argv)
+    assert answer[0] == 0 and answer[1] and answer[2] == ""
+    if toc == "directory":
+        path.unlink()
+        path.mkdir()
+    elif toc == "larger than the snapshot":  # still binds, but is read no further
+        path.write_bytes(path.read_bytes() + b" " * idx.stat().st_size)
+    elif toc == "another snapshot's":
+        other = _fuzzed_index(tmp_path, capsys, 20, 4, "other.json")
+        path.write_bytes(Path(f"{other}.toc").read_bytes())
+    elif toc == "stale":
+        # the snapshot spoilt after its toc was written, in a posting list the
+        # query does not read, which the spans would skip
+        data = bytearray(idx.read_bytes())
+        spans = json.loads(path.read_bytes())["postings"]
+        data[spans[min(spans.keys() - {"keel", "frame"})][0]] = ord("[")
+        idx.write_bytes(bytes(data))
+    else:  # spans no index writes, with the digest recomputed to match them
+        spans = {"docs": ["0", 9], "postings": {"keel": [9, 2], "frame": [True, 9]}}
+        table = json.dumps(spans, sort_keys=True, separators=(",", ":")).encode()
+        sha = hashlib.sha256(idx.read_bytes() + b"\0" + table).hexdigest()
+        path.write_text(json.dumps({**spans, "sha256": sha}))
+    sizes = _parsed_sizes(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert idx.stat().st_size in sizes  # the whole snapshot parsed
+    if toc == "stale":
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith(f"error: index {idx}: invalid JSON")
+    else:
+        assert (code, out, err) == answer
 
 
 # ------------------------------------------------------------ eval
@@ -1057,6 +1157,23 @@ def test_corpus_reprocesses_sidecars_too_big_or_too_deep_to_read(tmp_path, capsy
                        "--workers", "1")
     assert code == 0
     assert "processed=2 failed=0 skipped=0" in out
+
+
+def test_corpus_client_keeps_one_page_of_calls_at_most(tmp_path, capsys, config_path,
+                                                       monkeypatch):
+    from treatise import cli
+
+    clients = []
+    real = cli._client
+    monkeypatch.setattr(cli, "_client", lambda cfg: clients.append(real(cfg)) or clients[-1])
+    manifest = _manifest(tmp_path, ["p1.pgm", "p2.pgm", "p3.pgm"])
+    code, out, _ = run(capsys, "pipeline", "--config", config_path, "--manifest", manifest,
+                       "--method", "m2", "--workers", "1")
+    assert (code, out) == (0, "processed=3 failed=0 skipped=0\n")
+    hashes = [read_sidecar((tmp_path / f"p{i}.pgm.segments.json").read_bytes())
+              .provenance.prompt_hashes for i in (1, 2, 3)]
+    assert [len(h) for h in hashes] == [2, 2, 2]  # segment and caption, each page
+    assert len(clients) == 1 and len(clients[0].calls) <= 2
 
 
 def test_one_validation_per_written_sidecar(tmp_path, capsys, monkeypatch):
@@ -1543,6 +1660,40 @@ def test_mutated_input_files_exit_0_or_2_with_one_line(tmp_path, capsys, server,
         assert code == 0
 
 
+@pytest.mark.parametrize("kind", ["index+toc", "toc"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=_edits)
+def test_search_with_a_mutated_snapshot_or_toc_answers_as_without_a_toc(tmp_path, capsys,
+                                                                        server, kind, edits):
+    # the same edits as above, to the snapshot with its good toc beside it, or
+    # to the toc beside the good snapshot
+    good, image = _input_files(tmp_path, server)
+    toc = (tmp_path / "idx.json.toc").read_bytes()
+    path = tmp_path / "fuzz-index.json"
+    if kind == "toc":
+        path.write_bytes(good["index"])
+        toc = _mutate(toc, edits)
+    else:
+        path.write_bytes(_mutate(good["index"], edits))
+    try:
+        load_index(path)
+        rejected = False
+    except ValueError:
+        rejected = True
+    argv = _argv("search", str(path), image)
+    capsys.readouterr()
+    without = run(capsys, *argv)
+    Path(f"{path}.toc").write_bytes(toc)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == without
+    if rejected:
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith(f"error: index {path}: ")
+    else:
+        assert (code, err) == (0, "")
+
+
 # ------------------------------------------------------------ index in workers
 
 _WORDS = ["keel", "sternpost", "frame", "knee", "scarf", "rib", "quilha"]
@@ -1640,6 +1791,8 @@ def test_a_bad_sidecar_fails_a_pool_as_it_fails_one_worker(tmp_path, capsys, mon
     idx.write_bytes(b"earlier output\n")
     # the first fault in argument order is the one reported, though a pool
     # reads the later, larger one first
+    toc = tmp_path / "idx.json.toc"
+    toc.write_bytes(b"earlier toc\n")
     _spoil(sidecars[25], fault)
     with open(sidecars[33], "w") as fh:
         fh.write("[" + " " * 50000 + "]")
@@ -1648,6 +1801,7 @@ def test_a_bad_sidecar_fails_a_pool_as_it_fails_one_worker(tmp_path, capsys, mon
         _with_cpus(monkeypatch, cpus)
         runs.append(run(capsys, "index", "--index", str(idx), "--force", *sidecars))
         assert idx.read_bytes() == b"earlier output\n"
+        assert toc.read_bytes() == b"earlier toc\n"
         assert not multiprocessing.active_children()
     assert runs[0] == runs[1]
     code, out, err = runs[0]

@@ -3,6 +3,7 @@ semantics, query expansion, BM25 ranking against an independent oracle,
 tie ordering, kind filters, and snapshot persistence."""
 
 import copy
+import json
 import random
 
 import pytest
@@ -22,7 +23,6 @@ from treatise.retrieval import (
     expand_query,
     index_from_obj,
     index_record,
-    index_to_obj,
     load_index,
     record_docs,
     save_index,
@@ -168,14 +168,19 @@ def test_remove_image_matches_the_prefix_scan_on_random_ids():
             assert index == reference
 
 
-def test_insertion_order_does_not_change_the_snapshot():
+def _snapshot(index, tmp_path) -> bytes:
+    path = tmp_path / "snapshot.json"
+    save_index(index, path)
+    return path.read_bytes()
+
+
+def test_insertion_order_does_not_change_the_snapshot(tmp_path):
     r1 = make_record("one", {1: [("keel", None)]})
     r2 = make_record("two", {1: [("scarf", None)]}, caption="ship")
     a = index_record(index_record(Index(), r1), r2)
     b = index_record(index_record(Index(), r2), r1)
     assert a == b
-    assert (canonical_json_bytes(index_to_obj(a))
-            == canonical_json_bytes(index_to_obj(b)))
+    assert _snapshot(a, tmp_path) == _snapshot(b, tmp_path)
 
 
 # ------------------------------------------------------------ expansion
@@ -346,9 +351,39 @@ def test_snapshot_rebuilds_removal_bookkeeping(tmp_path):
     assert loaded.postings == {}
 
 
-def test_snapshot_obj_carries_doc_count():
+def test_snapshot_obj_carries_doc_count(tmp_path):
     index = index_record(Index(), make_record("img", {1: [("keel", None)]}))
-    assert index_to_obj(index)["doc_count"] == 2
+    assert json.loads(_snapshot(index, tmp_path))["doc_count"] == 2
+
+
+# ids and tokens with what JSON escapes or encodes in more than one byte
+_ODD = ["a", "\u00e9", '"', "\\", "\n", "\u2028", "x#", "\U0001f600", "\x00"]
+
+
+def test_snapshot_is_the_canonical_json_and_its_toc_spans_each_part(tmp_path):
+    rng = random.Random(25)
+    path = tmp_path / "index.json"
+    for _ in range(150):
+        index = Index()
+        for _ in range(rng.randrange(12)):
+            image = "f" * 64 + "".join(rng.choices(_ODD, k=rng.randrange(1, 4)))
+            words = lambda: ["".join(rng.choices(_ODD, k=rng.randrange(1, 3)))
+                             for _ in range(rng.randrange(5))]
+            index.add_image(image, [(f"{image}#{s}", words()) for s in range(1, rng.randrange(4))]
+                            + [(image, words())])
+        save_index(index, path)
+        data = path.read_bytes()
+        assert data == canonical_json_bytes({"schema_version": 1, "doc_count": index.doc_count,
+                                             "docs": index.docs, "postings": index.postings})
+        toc = json.loads((tmp_path / "index.json.toc").read_bytes())
+        assert json.loads(data[slice(*toc["docs"])]) == index.docs
+        assert {tok: json.loads(data[slice(*span)]) for tok, span in toc["postings"].items()} \
+            == index.postings
+        assert load_index(path) == index
+        tokens = set(rng.sample(sorted(index.postings), min(2, len(index.postings)))) | {"absent"}
+        part = load_index(path, tokens)
+        assert part.docs == index.docs
+        assert part.postings == {tok: index.postings[tok] for tok in tokens & index.postings.keys()}
 
 
 def test_snapshot_validation():
@@ -366,7 +401,7 @@ _BAD_COUNTS = (True, False, 1.5, -1, "3", None, [2])
 def _mutate_snapshot(obj, rng):
     """One seeded edit of a snapshot object, valid or not."""
     docs, postings = obj["docs"], obj["postings"]
-    kind = rng.choice(["doc", "tf", "ghost", "plist", "drop", "big", "top"])
+    kind = rng.choice(["doc", "tf", "ghost", "plist", "drop", "big", "top", "count"])
     if kind == "doc" and docs:
         docs[rng.choice(sorted(docs))] = rng.choice(_BAD_COUNTS + (0,))
     elif kind == "tf" and postings:
@@ -385,15 +420,20 @@ def _mutate_snapshot(obj, rng):
         docs[rng.choice(sorted(docs))] = rng.choice((2**53 - 1, 2**53, 10 ** rng.randrange(18, 400)))
     elif kind == "top":
         obj[rng.choice(["docs", "postings"])] = rng.choice([[], None, "x"])
+    elif kind == "count":
+        if rng.random() < 0.2:
+            obj.pop("doc_count", None)
+        else:
+            obj["doc_count"] = rng.choice(_BAD_COUNTS + (len(docs), len(docs) + 1, 2**53))
 
 
-def test_snapshot_checks_match_the_entry_by_entry_oracle():
+def test_snapshot_checks_match_the_entry_by_entry_oracle(tmp_path):
     index = Index()
     for n in range(6):
         index_record(index, make_record(f"img{n}", {
             s: [(t, None)] for s, t in enumerate(
                 ["keel", "mast", "keel", "rudder", "hull stern"][:n], 1)}, caption="ship"))
-    base = index_to_obj(index)
+    base = json.loads(_snapshot(index, tmp_path))
     rng = random.Random(20)
     raised = 0
     for _ in range(1500):
