@@ -287,6 +287,9 @@ class BackendClient:
 
     def __init__(self, endpoints: dict, timeout: float = 10.0, backoff: float = 0.1, post=_post):
         self.endpoints = {stage: check_endpoint(stage, url) for stage, url in endpoints.items()}
+        # the longest wait a socket or a lock takes; NaN fails the comparison too
+        if not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must be above 0 and at most {threading.TIMEOUT_MAX:.0f} s")
         self.timeout = timeout
         self.backoff = backoff
         self._post = post

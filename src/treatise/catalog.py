@@ -119,12 +119,16 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 def _segment_to_obj(seg: Segment) -> dict:
+    try:
+        contour = [[x, y] for x, y in seg.contour]
+    except (TypeError, ValueError):  # a point that is no pair goes as it is, for the reader
+        contour = [list(p) if type(p) is tuple else p for p in seg.contour]
     return {
         "id": seg.id,
         "bbox": seg.bbox.as_list(),
         "area": seg.area,
         "mask": {"counts": list(seg.mask.counts)},
-        "contour": [[x, y] for x, y in seg.contour],
+        "contour": contour,
     }
 
 
@@ -439,8 +443,8 @@ _SEGMENT_JSON = '{"area":%d,"bbox":[%d,%d,%d,%d],"contour":[%s],"id":%d,"mask":{
 def _segments_json(segments) -> str:
     """The canonical JSON of the segment list's items, joined by commas, one
     template per segment. `%d` would write a float, bool or numpy int as an
-    int, so a value that is not an exact int raises SidecarValidationError
-    with the path and message the reader would give."""
+    int, so a value that is not an exact int raises the reader's
+    SidecarFormatError."""
     try:
         text = ",".join([_SEGMENT_JSON % (
             s.area, s.bbox.x, s.bbox.y, s.bbox.w, s.bbox.h,
@@ -455,22 +459,25 @@ def _segments_json(segments) -> str:
         pass
     # the reader's own checks name the first value it would reject
     for i, seg in enumerate(segments):
-        try:
-            _segment_from_obj(_segment_to_obj(seg), f"/segments/{i}")
-        except SidecarFormatError as exc:
-            raise SidecarValidationError([Violation(exc.path, exc.message)]) from None
+        _segment_from_obj(_segment_to_obj(seg), f"/segments/{i}")
     raise TypeError("contour points must be (x, y) tuples")
 
 
 def record_to_bytes(record: ImageRecord) -> bytes:
     """Validate and canonicalize: the segments from one template each, the
     rest through canonical_json_bytes, spliced in at the sorted place of the
-    "segments" key."""
+    "segments" key. A value the reader would reject raises
+    SidecarValidationError with the reader's path and message, before the
+    invariants are checked."""
+    obj = _record_obj(record, [])
+    try:
+        record_from_obj(obj)  # every value but the segments, as it will be written
+        segments = _segments_json(record.segments).encode("ascii")
+    except SidecarFormatError as exc:
+        raise SidecarValidationError([Violation(exc.path, exc.message)]) from None
     violations = validate_record(record)
     if violations:
         raise SidecarValidationError(violations)
-    segments = _segments_json(record.segments).encode("ascii")
-    obj = _record_obj(record, None)
     head = canonical_json_bytes({k: v for k, v in obj.items() if k < "segments"})
     tail = canonical_json_bytes({k: v for k, v in obj.items() if k > "segments"})
     return b"%s,\"segments\":[%s],%s" % (head[:-1], segments, tail[1:])

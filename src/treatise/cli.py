@@ -18,6 +18,7 @@ import gc
 import json
 import os
 import sys
+import time
 from contextlib import closing, suppress
 from dataclasses import replace
 from typing import NamedTuple
@@ -474,13 +475,14 @@ def _cmd_mock_serve(args) -> int:
     fixtures = _read("fixtures", args.fixtures, load_fixture_table) if args.fixtures else None
     server = MockBackendServer(port=args.port, fixtures=fixtures,
                                **_given(args, {}, host="host", max_tags="max_tags"))
-    for stage, url in server.endpoints.items():
-        _err(f"{stage}: {url}")
-    try:
-        server.serve_forever()
+    try:  # the main thread only waits, so Ctrl-C never lands in the serving loop
+        with server:
+            for stage, url in server.endpoints.items():
+                _err(f"{stage}: {url}")
+            while True:
+                time.sleep(60)
     except KeyboardInterrupt:
-        pass
-    return EXIT_OK
+        return EXIT_OK
 
 
 def _cmd_validate(args) -> int:

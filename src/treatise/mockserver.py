@@ -243,17 +243,13 @@ class MockBackendServer:
         return {stage: f"{base}/{stage}" for stage in STAGES}
 
     def start(self):
+        if self._thread is not None:  # two loops on one socket: stop() would wait forever
+            raise RuntimeError("the server is already serving")
         # stop() waits for the serving loop's next poll
         self._thread = threading.Thread(target=self._httpd.serve_forever,
                                         kwargs={"poll_interval": 0.05}, daemon=True)
         self._thread.start()
         return self
-
-    def serve_forever(self):
-        try:
-            self._httpd.serve_forever()
-        finally:
-            self._httpd.server_close()
 
     def stop(self):
         self._httpd.shutdown()

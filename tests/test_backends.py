@@ -314,6 +314,23 @@ class TestLiveServer:
         srv.stop()
         assert time.perf_counter() - start < 0.25
 
+    def test_a_second_start_raises_and_stop_still_returns(self):
+        # two serving loops on one socket would leave stop() waiting forever
+        srv = MockBackendServer().start()
+        try:
+            with pytest.raises(RuntimeError, match="already serving"):
+                srv.start()
+            with pytest.raises(RuntimeError, match="already serving"):
+                with srv:
+                    pass
+            blob = make_pgm([[1, 2], [3, 4]])
+            assert BackendClient(srv.endpoints).caption(blob) == {"caption": FALLBACK_CAPTION}
+        finally:  # in a thread, so a stop that waits forever fails the test
+            stopper = threading.Thread(target=srv.stop, daemon=True)
+            stopper.start()
+            stopper.join(timeout=5)
+        assert not stopper.is_alive()
+
     def test_stop_ends_the_connections_a_client_keeps_alive(self):
         # each cycle leaves an idle kept-alive connection in the client; its
         # handler thread must not outlive the server

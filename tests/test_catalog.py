@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -54,6 +55,70 @@ def simple_record(w=3, h=2, blob=None):
         assignments={1: (LabelAssignment(text="keel", confidence=0.5, source="tagger"),)},
         provenance=Provenance(method="native", backend_ids={}, prompt_hashes=()),
     ), blob
+
+
+def _with_point(rec, point):
+    """`rec` with the second contour point of its first segment replaced."""
+    seg = rec.segments[0]
+    contour = seg.contour[:1] + (point,) + seg.contour[2:]
+    return replace(rec, segments=(replace(seg, contour=contour),) + rec.segments[1:])
+
+
+# values of many types, each wrong for some value of a record
+_WRONG = (None, True, 1.5, "7", 7, ["x"], {"k": 1}, np.int64(1), np.float64(0.5), (1,),
+          (1, 2, 3), (True, 0), b"x")
+# what the reader accepts at a value's place, by kind
+_ACCEPTS = {
+    "int": lambda v: type(v) is int,
+    "str": lambda v: isinstance(v, str),
+    "str or None": lambda v: v is None or isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "bool": lambda v: type(v) is bool,
+    "point": lambda v: type(v) is tuple and len(v) == 2 and all(type(c) is int for c in v),
+}
+
+
+def _slots(rec):
+    """(the reader's path, the kind of value it accepts there, a function that returns `rec`
+    with that one value replaced) for every value of a record but `extra`."""
+    prov = rec.provenance
+    out = [(f"/{k}", kind, lambda v, k=k: replace(rec, **{k: v}))
+           for k, kind in (("image_id", "str"), ("source_path", "str"), ("width", "int"),
+                           ("height", "int"), ("image_caption", "str or None"))]
+    out += [(f"/provenance/{k}", kind,
+             lambda v, k=k: replace(rec, provenance=replace(prov, **{k: v})))
+            for k, kind in (("method", "str"), ("timestamp", "str"), ("degraded", "bool"))]
+    out += [("/provenance/backend_ids", "str",
+             lambda v: replace(rec, provenance=replace(prov, backend_ids={"segment": v}))),
+            ("/provenance/backend_ids", "str",
+             lambda v: replace(rec, provenance=replace(prov, backend_ids={v: "x"}))),
+            ("/provenance/prompt_hashes", "str",
+             lambda v: replace(rec, provenance=replace(prov, prompt_hashes=(v,))))]
+    for sid, items in rec.assignments.items():
+        for j, a in enumerate(items):
+            def label(v, k, sid=sid, j=j, items=items, a=a):
+                new = items[:j] + (replace(a, **{k: v}),) + items[j + 1:]
+                return replace(rec, assignments={**rec.assignments, sid: new})
+            out += [(f"/assignments/{sid}/{j}/{k}", kind, functools.partial(label, k=k))
+                    for k, kind in (("text", "str"), ("confidence", "number"), ("source", "str"),
+                                    ("concept_id", "str or None"), ("definition", "str or None"))]
+    for i, seg in enumerate(rec.segments):
+        def segment(v, i=i, **fields):
+            segs = list(rec.segments)
+            segs[i] = replace(segs[i], **{k: f(v) for k, f in fields.items()})
+            return replace(rec, segments=tuple(segs))
+        base = f"/segments/{i}"
+        out += [(f"{base}/id", "int", functools.partial(segment, id=lambda v: v)),
+                (f"{base}/area", "int", functools.partial(segment, area=lambda v: v)),
+                (f"{base}/bbox", "int", functools.partial(
+                    segment, bbox=lambda v, b=seg.bbox: replace(b, w=v))),
+                (f"{base}/mask/counts", "int", functools.partial(
+                    segment, mask=lambda v, m=seg.mask: replace(m, counts=m.counts + (v,)))),
+                (f"{base}/contour/0", "point", functools.partial(
+                    segment, contour=lambda v, c=seg.contour: (v,) + c[1:])),
+                (f"{base}/contour/0", "int", functools.partial(
+                    segment, contour=lambda v, c=seg.contour: ((c[0][0], v),) + c[1:]))]
+    return out
 
 
 class TestCanonicalJson:
@@ -190,6 +255,66 @@ class TestRoundtrip:
         with pytest.raises(SidecarFormatError) as read_err:
             record_from_obj(record_to_obj(rec))
         assert str(read_err.value) == str(err.value)
+
+    @pytest.mark.parametrize("change, path, message", [
+        (lambda r: replace(r, width=True), "/width", "unexpected type bool"),
+        (lambda r: replace(r, height=2.0), "/height", "unexpected type float"),
+        (lambda r: replace(r, image_id=None), "/image_id", "unexpected type NoneType"),
+        (lambda r: replace(r, source_path=7), "/source_path", "unexpected type int"),
+        (lambda r: replace(r, image_caption=3), "/image_caption", "unexpected type int"),
+        (lambda r: replace(r, assignments={1: (LabelAssignment("keel", True, "tagger"),)}),
+         "/assignments/1/0/confidence", "unexpected type bool"),
+        (lambda r: replace(r, provenance=replace(r.provenance, degraded=1)),
+         "/provenance/degraded", "unexpected type int"),
+        (lambda r: replace(r, provenance=replace(r.provenance, backend_ids={"segment": 7})),
+         "/provenance/backend_ids", "must map strings to strings"),
+        (lambda r: replace(r, provenance=replace(r.provenance, prompt_hashes=(7,))),
+         "/provenance/prompt_hashes", "must be a list of strings"),
+        (lambda r: _with_point(r, (0,)), "/segments/0/contour/1", "expected a list of 2 integers"),
+        (lambda r: _with_point(r, (0, 0, 0)), "/segments/0/contour/1",
+         "expected a list of 2 integers"),
+        (lambda r: _with_point(r, 7), "/segments/0/contour/1", "expected a list of 2 integers"),
+        (lambda r: _with_point(r, (True, 9)), "/segments/0/contour/1",
+         "expected a list of 2 integers"),
+    ], ids=["width-bool", "height-float", "image_id-none", "source_path-int", "caption-int",
+            "confidence-bool", "degraded-int", "backend_id-int", "prompt_hash-int", "point-1",
+            "point-3", "point-int", "point-bool"])
+    def test_write_checks_every_value_by_the_reader(self, tmp_path, change, path, message):
+        # the reader's checks run before the invariants: nothing unreadable is written
+        rec = change(simple_record()[0])
+        dest = tmp_path / "page.segments.json"
+        with pytest.raises(SidecarValidationError) as err:
+            write_sidecar(rec, dest)
+        assert str(err.value) == f"{path}: {message}"
+        assert not dest.exists()
+        with pytest.raises(SidecarFormatError) as read_err:
+            record_from_obj(record_to_obj(rec))
+        assert str(read_err.value) == str(err.value)
+
+    def test_a_list_point_is_a_type_error(self):
+        # a producer bug, not a value the reader would reject
+        with pytest.raises(TypeError, match="contour points must be"):
+            record_to_bytes(_with_point(simple_record()[0], [0, 0]))
+
+    def test_a_wrong_type_anywhere_is_refused_at_its_path_or_reads_back(self):
+        rng = random.Random(26)
+        refused = 0
+        for _ in range(300):
+            rec, _ = fuzz_record(rng)
+            path, kind, change = rng.choice(_slots(rec))
+            value = rng.choice([v for v in _WRONG if not _ACCEPTS[kind](v)])
+            try:
+                bad = change(value)
+            except (TypeError, ValueError):  # a box that cannot be built
+                continue
+            try:
+                data = record_to_bytes(bad)
+            except SidecarValidationError as exc:
+                assert exc.violations[0].path == path, (path, value)
+                refused += 1
+            else:
+                read_sidecar(data)
+        assert refused > 200
 
     def test_bytes_are_the_canonical_dump_of_the_object(self):
         # foreign keys on both sides of "segments", non-ASCII text, no segments

@@ -12,6 +12,7 @@ import random
 import shlex
 import subprocess
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -36,7 +37,7 @@ from treatise.catalog import (
     utc_timestamp,
     write_sidecar,
 )
-from treatise.cli import _load_config, build_parser, main
+from treatise.cli import _CONFIG_KEYS, _load_config, build_parser, main
 from treatise.evaluation import load_truth
 from treatise.lexicon import load_glossary
 from treatise.mockserver import MockBackendServer
@@ -1482,6 +1483,39 @@ def test_mock_serve_exits_on_interrupt_with_a_connection_kept_alive():
         proc.stderr.close()
 
 
+def test_mock_serve_interrupted_in_its_wait_stops_the_server_and_exits_0(capsys, monkeypatch):
+    # Ctrl-C reaches the main thread in its wait, with one connection kept alive
+    import http.client
+    import types
+
+    from treatise import cli
+
+    seen = {}
+
+    def interrupted_wait(seconds):
+        url = capsys.readouterr().err.splitlines()[0].split(": ", 1)[1]
+        host, path = url.split("//", 1)[1].split("/", 1)
+        conn = seen["conn"] = http.client.HTTPConnection(host, timeout=5)
+        conn.request("POST", "/" + path, body=b"{}")
+        reply = conn.getresponse()
+        reply.read()
+        seen["will_close"] = reply.will_close
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(sleep=interrupted_wait))
+    before = set(threading.enumerate())
+    # main runs in a thread of its own, so a stop that hangs fails the test
+    runner = threading.Thread(target=lambda: seen.update(code=main(["mock-serve", "--port", "0"])),
+                              daemon=True)
+    runner.start()
+    runner.join(timeout=5)
+    assert not runner.is_alive()
+    assert seen["code"] == 0 and seen["will_close"] is False
+    assert seen["conn"].sock.recv(1) == b""  # the server ended the kept-alive connection
+    seen["conn"].close()
+    assert set(threading.enumerate()) <= before  # no handler thread is left
+
+
 # ------------------------------------------------------------ numeric flag ranges
 
 @pytest.mark.parametrize("argv, flag", [
@@ -1658,6 +1692,68 @@ def test_mutated_input_files_exit_0_or_2_with_one_line(tmp_path, capsys, server,
         assert err.startswith(f"error: {kind} {path}: ")
     elif kind == "vocabulary":  # any seed the loader accepts labels the page
         assert code == 0
+
+
+# JSON literals of values each config key may be set to; None deletes the key
+_CONFIG_NODES = ("null", "true", "0", "-1", str(2 ** 70), str(-2 ** 70), "9" * 400, "1e400",
+                 "NaN", '"\\ud800"', "[]", None)
+
+
+def _with_config_node(good, key: str, literal) -> str:
+    cfg = json.loads(good)
+    cfg.pop(key, None)
+    if literal is None:
+        return json.dumps(cfg)
+    cfg[key] = "@"
+    return json.dumps(cfg).replace('"@"', literal)
+
+
+@pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
+def test_config_with_one_value_mutated_exits_with_at_most_one_line(tmp_path, capsys, server,
+                                                                   key):
+    # every node value of every key, through two commands that build a
+    # backend client; the byte edits above reach few of these
+    _, image = _input_files(tmp_path, server)
+    good = (tmp_path / "mock.json").read_bytes()
+    commands = {"pipeline": ["pipeline", "--config", "cfg-node.json", "--in", image,
+                             "--method", "m4", "--vocabulary", "seed.json", "--out", "out.json"],
+                "vocab": ["vocab", "--config", "cfg-node.json", "--glossary", GLOSSARY,
+                          "--out", "vocab.json"]}
+    for literal in _CONFIG_NODES:
+        (tmp_path / "cfg-node.json").write_text(_with_config_node(good, key, literal))
+        for name, argv in commands.items():
+            (tmp_path / "vocab.json").unlink(missing_ok=True)  # no cached seed: vocab calls out
+            capsys.readouterr()
+            code, out, err = run(capsys, *argv)
+            case = (key, literal and literal[:12], name, code, err)
+            assert code in (0, 1, 2, 3), case
+            assert "Traceback" not in err and "processed=" not in out, case
+            assert err.count("\n") == 1, case
+            assert (code == 0) != err.startswith("error: "), case
+
+
+@pytest.mark.parametrize("literal", ["-1", "0", "NaN", "Infinity", "-Infinity", "1e12", "1e400",
+                                     str(2 ** 70), str(-2 ** 70), "9" * 400],
+                         ids=["-1", "0", "NaN", "Infinity", "-Infinity", "1e12", "1e400",
+                              "2**70", "-2**70", "400 digits"])
+@pytest.mark.parametrize("command", ["pipeline --in", "pipeline --manifest", "vocab"])
+def test_a_timeout_out_of_range_stops_the_run_with_one_line(tmp_path, capsys, server, command,
+                                                            literal):
+    # a timeout no socket can take fails the whole run before any request,
+    # not each call or each image
+    image = write_image(tmp_path, "p1.pgm")
+    manifest = _manifest(tmp_path, ["p1.pgm"])
+    (tmp_path / "cfg.json").write_text(
+        _with_config_node(json.dumps({"endpoints": server.endpoints}), "timeout", literal))
+    argv = {"pipeline --in": ["pipeline", "--in", image, "--method", "m1"],
+            "pipeline --manifest": ["pipeline", "--manifest", manifest, "--method", "m1",
+                                    "--workers", "1"],
+            "vocab": ["vocab", "--glossary", GLOSSARY, "--out", "seed.json"]}[command]
+    code, out, err = run(capsys, *argv, "--config", "cfg.json")
+    assert (code, out) == (2, "")
+    assert err == f"error: timeout must be above 0 and at most {threading.TIMEOUT_MAX:.0f} s\n"
+    assert not (tmp_path / "p1.pgm.segments.json").exists()
+    assert not (tmp_path / "seed.json").exists()
 
 
 @pytest.mark.parametrize("kind", ["index+toc", "toc"])
