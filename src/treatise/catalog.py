@@ -119,10 +119,8 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 def _segment_to_obj(seg: Segment) -> dict:
-    try:
-        contour = [[x, y] for x, y in seg.contour]
-    except (TypeError, ValueError):  # a point that is no pair goes as it is, for the reader
-        contour = [list(p) if type(p) is tuple else p for p in seg.contour]
+    # a point that is no tuple goes as it is, for the reader to name
+    contour = [list(p) if type(p) is tuple else p for p in seg.contour]
     return {
         "id": seg.id,
         "bbox": seg.bbox.as_list(),
@@ -468,7 +466,8 @@ def record_to_bytes(record: ImageRecord) -> bytes:
     rest through canonical_json_bytes, spliced in at the sorted place of the
     "segments" key. A value the reader would reject raises
     SidecarValidationError with the reader's path and message, before the
-    invariants are checked."""
+    invariants are checked. Of several such values it names one: it checks
+    the segments last, the reader first, so the two may name different ones."""
     obj = _record_obj(record, [])
     try:
         record_from_obj(obj)  # every value but the segments, as it will be written

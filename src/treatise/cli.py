@@ -477,8 +477,7 @@ def _cmd_mock_serve(args) -> int:
                                **_given(args, {}, host="host", max_tags="max_tags"))
     try:  # the main thread only waits, so Ctrl-C never lands in the serving loop
         with server:
-            for stage, url in server.endpoints.items():
-                _err(f"{stage}: {url}")
+            _err("\n".join(f"{stage}: {url}" for stage, url in server.endpoints.items()))
             while True:
                 time.sleep(60)
     except KeyboardInterrupt:

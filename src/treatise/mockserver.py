@@ -252,8 +252,10 @@ class MockBackendServer:
         return self
 
     def stop(self):
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        try:
+            self._httpd.shutdown()
+        finally:  # a Ctrl-C in the wait still ends the kept-alive connections
+            self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None

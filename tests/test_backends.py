@@ -331,6 +331,31 @@ class TestLiveServer:
             stopper.join(timeout=5)
         assert not stopper.is_alive()
 
+    def test_a_stop_interrupted_in_its_shutdown_still_ends_kept_alive_connections(self):
+        # a second Ctrl-C in mock-serve lands while stop() waits for the loop
+        before = set(threading.enumerate())
+        srv = MockBackendServer().start()
+        conn = http.client.HTTPConnection(srv.host, srv.port, timeout=5)
+        conn.request("POST", "/v1/caption", body=b"{}")
+        reply = conn.getresponse()
+        reply.read()
+        assert reply.will_close is False
+        shutdown = srv._httpd.shutdown
+
+        def interrupted():
+            srv._httpd.shutdown = shutdown
+            raise KeyboardInterrupt
+
+        srv._httpd.shutdown = interrupted
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                srv.stop()
+            assert conn.sock.recv(1) == b""  # the handler was not left in readline
+        finally:
+            conn.close()
+            srv.stop()
+        assert set(threading.enumerate()) <= before
+
     def test_stop_ends_the_connections_a_client_keeps_alive(self):
         # each cycle leaves an idle kept-alive connection in the client; its
         # handler thread must not outlive the server

@@ -291,6 +291,19 @@ class TestRoundtrip:
             record_from_obj(record_to_obj(rec))
         assert str(read_err.value) == str(err.value)
 
+    def test_of_two_bad_values_the_write_names_the_one_outside_the_segments(self, tmp_path):
+        # the writer checks the segments last, the reader before the provenance
+        rec = _with_point(simple_record()[0], (0,))
+        rec = replace(rec, provenance=replace(rec.provenance, degraded=1))
+        dest = tmp_path / "page.segments.json"
+        with pytest.raises(SidecarValidationError) as err:
+            write_sidecar(rec, dest)
+        assert str(err.value) == "/provenance/degraded: unexpected type int"
+        assert not dest.exists()
+        with pytest.raises(SidecarFormatError) as read_err:
+            record_from_obj(record_to_obj(rec))
+        assert str(read_err.value) == "/segments/0/contour/1: expected a list of 2 integers"
+
     def test_a_list_point_is_a_type_error(self):
         # a producer bug, not a value the reader would reject
         with pytest.raises(TypeError, match="contour points must be"):
