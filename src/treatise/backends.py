@@ -76,6 +76,14 @@ def check_endpoint(stage: str, url):
     raise ValueError(f"endpoint {stage} URL {url!r} is not valid")
 
 
+def check_timeout(timeout):
+    """`timeout`, or ValueError unless a socket and a lock can wait that long;
+    NaN fails the comparison too."""
+    if not 0 < timeout <= threading.TIMEOUT_MAX:
+        raise ValueError(f"timeout must be above 0 and at most {threading.TIMEOUT_MAX:.0f} s")
+    return timeout
+
+
 # http_proxy and https_proxy as they stand at import; no_proxy is read at each call
 _PROXIES = urllib.request.getproxies()
 _REDIRECTS = (301, 302, 303)  # followed as a GET without a body; 307 and 308 are not
@@ -287,10 +295,7 @@ class BackendClient:
 
     def __init__(self, endpoints: dict, timeout: float = 10.0, backoff: float = 0.1, post=_post):
         self.endpoints = {stage: check_endpoint(stage, url) for stage, url in endpoints.items()}
-        # the longest wait a socket or a lock takes; NaN fails the comparison too
-        if not 0 < timeout <= threading.TIMEOUT_MAX:
-            raise ValueError(f"timeout must be above 0 and at most {threading.TIMEOUT_MAX:.0f} s")
-        self.timeout = timeout
+        self.timeout = check_timeout(timeout)
         self.backoff = backoff
         self._post = post
         self._lock = threading.Lock()

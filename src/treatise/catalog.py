@@ -20,7 +20,7 @@ import re
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -224,7 +224,9 @@ def _assignment_from_obj(obj, path: str) -> LabelAssignment:
 
 def record_from_obj(doc: dict) -> ImageRecord:
     """Build a record from parsed JSON with path-labeled structure errors.
-    Does not check invariants; callers follow up with validate_record."""
+    Does not check invariants; callers follow up with validate_record.
+    Consumes doc["segments"]: each item is set to None once its segment is
+    built, so the parsed lists of one segment at a time are alive."""
     if not isinstance(doc, dict):
         raise SidecarFormatError("/", "top level must be an object")
     version = _want(doc, "schema_version", int, "")
@@ -235,9 +237,10 @@ def record_from_obj(doc: dict) -> ImageRecord:
     width = _want(doc, "width", int, "")
     height = _want(doc, "height", int, "")
     segs_raw = _want(doc, "segments", list, "")
-    segments = tuple(
-        _segment_from_obj(s, f"/segments/{i}") for i, s in enumerate(segs_raw)
-    )
+    segments = []
+    for i in range(len(segs_raw)):
+        segments.append(_segment_from_obj(segs_raw[i], f"/segments/{i}"))
+        segs_raw[i] = None
     assign_raw = _want(doc, "assignments", dict, "")
     assignments = {}
     for key, items in assign_raw.items():
@@ -270,7 +273,7 @@ def record_from_obj(doc: dict) -> ImageRecord:
     extra = {k: v for k, v in doc.items() if k not in _TOP_LEVEL_KEYS}
     return ImageRecord(
         image_id=image_id, source_path=source_path, width=width, height=height,
-        segments=segments, assignments=assignments, provenance=provenance,
+        segments=tuple(segments), assignments=assignments, provenance=provenance,
         image_caption=caption, extra=extra,
     )
 
@@ -282,19 +285,27 @@ _SPAN = 1 << 62
 # a contour point, then its up, down, left and right neighbours
 _DX = np.array([[0], [0], [0], [-1], [1]])
 _DY = np.array([[0], [-1], [1], [0], [0]])
+# contour points are looked up at most this many at a time, so the lookup's
+# arrays stay a fixed size however many points a record has
+_POINT_SLICE = 2**14
 
 
-def _contour_points(segments) -> np.ndarray:
-    """The contour points of all segments, in order, as an (n, 2) int64
-    array; a coordinate past int64 becomes -_SPAN or _SPAN, outside every
-    box the array pass checks."""
-    def flat():
+def _contour_slices(segments, total: int):
+    """The `total` contour points of all segments, in order, as (m, 2) int64
+    arrays of at most _POINT_SLICE points, each with the index of its first
+    point; a coordinate past int64 becomes -_SPAN or _SPAN, outside every box
+    the array pass checks."""
+    def values():
         return chain.from_iterable(chain.from_iterable(s.contour for s in segments))
-    try:
-        xy = np.fromiter(flat(), np.int64)
-    except OverflowError:
-        xy = np.fromiter((min(max(v, -_SPAN), _SPAN) for v in flat()), np.int64)
-    return xy.reshape(-1, 2)
+    flat = values()
+    for lo in range(0, total, _POINT_SLICE):
+        m = 2 * min(_POINT_SLICE, total - lo)
+        try:
+            xy = np.fromiter(islice(flat, m), np.int64, m)
+        except OverflowError:  # read the slice again, clamped, and go on from its end
+            flat = islice(values(), 2 * lo, None)
+            xy = np.fromiter((min(max(v, -_SPAN), _SPAN) for v in islice(flat, m)), np.int64, m)
+        yield lo, xy.reshape(-1, 2)
 
 
 def _mask_geometry(segments, base: int) -> tuple:
@@ -327,19 +338,23 @@ def _mask_geometry(segments, base: int) -> tuple:
 
     # each contour point and its neighbours, in box coordinates, looked up in
     # the run ends: a pixel is set when its run is odd among its segment's runs
-    xy = _contour_points(segments)
-    point_seg = np.repeat(np.arange(n), npoints)
-    pw, ph = w[point_seg], h[point_seg]
-    nx = (xy[:, 0] - x[point_seg]) + _DX
-    ny = (xy[:, 1] - y[point_seg]) + _DY
-    run = np.searchsorted(ends, start[point_seg] + ny * pw + nx, side="right")
-    is_set = (nx >= 0) & (nx < pw) & (ny >= 0) & (ny < ph) & np.append(ones, False)[run]
-    # a boundary pixel is set and has an unset neighbour
-    bad = np.flatnonzero(~is_set[0] | is_set.all(axis=0))
-    bad_seg = point_seg[bad]
-    index = bad - (np.cumsum(npoints) - npoints)[bad_seg]
-    return (areas.tolist(), tight.tolist(),
-            list(zip((bad_seg + base).tolist(), index.tolist(), is_set[0, bad].tolist())))
+    set_run = np.append(ones, False)
+    point_end = np.cumsum(npoints)
+    point_first = point_end - npoints
+    bad = []
+    for p0, xy in _contour_slices(segments, int(point_end[-1])):
+        point_seg = np.searchsorted(point_end, np.arange(p0, p0 + len(xy)), side="right")
+        pw, ph = w[point_seg], h[point_seg]
+        nx = (xy[:, 0] - x[point_seg]) + _DX
+        ny = (xy[:, 1] - y[point_seg]) + _DY
+        run = np.searchsorted(ends, start[point_seg] + ny * pw + nx, side="right")
+        is_set = (nx >= 0) & (nx < pw) & (ny >= 0) & (ny < ph) & set_run[run]
+        # a boundary pixel is set and has an unset neighbour
+        at = np.flatnonzero(~is_set[0] | is_set.all(axis=0))
+        bad_seg = point_seg[at]
+        bad.extend(zip((bad_seg + base).tolist(), (at + p0 - point_first[bad_seg]).tolist(),
+                       is_set[0, at].tolist()))
+    return areas.tolist(), tight.tolist(), bad
 
 
 def validate_record(record: ImageRecord, image_bytes: bytes | None = None) -> list:

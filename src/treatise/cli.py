@@ -24,7 +24,8 @@ from dataclasses import replace
 from typing import NamedTuple
 
 from . import evaluation, lexicon, ontology, parse_json, retrieval
-from .backends import BackendClient, BackendError, check_endpoint, resolve_endpoints
+from .backends import (BackendClient, BackendError, check_endpoint, check_timeout,
+                       resolve_endpoints)
 from .catalog import (
     METHODS,
     SidecarValidationError,
@@ -117,6 +118,8 @@ def _parse_config(data: bytes) -> dict:
             raise ValueError(f"{key!r} is not a config key")
         if not _JSON_TYPES[kind](value):
             raise ValueError(f"{key} must be {kind}")
+    if "timeout" in cfg:
+        check_timeout(cfg["timeout"])
     for key in ("glossary", "ontology", "manifest"):
         if key in cfg and not os.path.exists(cfg[key]):
             raise ValueError(f"{key} file {cfg[key]!r} does not exist")

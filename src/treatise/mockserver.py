@@ -14,6 +14,7 @@ import base64
 import hashlib
 import re
 import socket
+import sys
 import threading
 from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -210,6 +211,11 @@ class _Server(ThreadingHTTPServer):
     def shutdown_request(self, request):
         self._open.discard(request)
         super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        # a client that drops the connection mid-request is not a server fault
+        if not isinstance(sys.exc_info()[1], (BrokenPipeError, ConnectionResetError)):
+            super().handle_error(request, client_address)
 
     def server_close(self):
         # a handler waiting for the next request reads end of file and returns

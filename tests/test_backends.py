@@ -4,6 +4,7 @@ import http.client
 import json
 import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -365,6 +366,32 @@ class TestLiveServer:
             with MockBackendServer() as srv:
                 assert BackendClient(srv.endpoints).caption(blob) == {"caption": FALLBACK_CAPTION}
         assert set(threading.enumerate()) <= before
+
+    def test_a_client_that_drops_mid_request_prints_nothing(self, capfd):
+        # the body is cut short by a reset: the handler's read fails, quietly
+        with MockBackendServer() as srv:
+            with socket.create_connection((srv.host, srv.port), timeout=1.0) as sock:
+                sock.sendall(f"POST /v1/caption HTTP/1.1\r\nHost: {srv.host}\r\n"
+                             "Content-Length: 100\r\n\r\n{".encode())
+                time.sleep(0.1)  # the handler is waiting for the rest of the body
+                # linger 0: close sends a reset, not a FIN
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        # stop() has joined the handler thread
+        assert capfd.readouterr().err == ""
+
+    def test_a_handler_that_fails_otherwise_still_prints_its_traceback(self, capfd,
+                                                                        monkeypatch):
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(mockserver, "mock_response", boom)
+        with MockBackendServer() as srv:
+            with socket.create_connection((srv.host, srv.port), timeout=1.0) as sock:
+                sock.sendall(f"POST /v1/caption HTTP/1.1\r\nHost: {srv.host}\r\n"
+                             "Content-Length: 2\r\n\r\n{}".encode())
+                assert sock.recv(4096) == b""  # closed without a reply
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "RuntimeError: boom" in err
 
     def test_oversized_body_gets_413_unread(self):
         # only the header claims the size: no body is sent, none is read

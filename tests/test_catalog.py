@@ -1,7 +1,9 @@
+import copy
 import functools
 import hashlib
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 import oracles
 from conftest import make_pgm
 from recordgen import fuzz_record
+from treatise import catalog, parse_json
 from treatise.catalog import (
     ImageRecord,
     LabelAssignment,
@@ -31,6 +34,7 @@ from treatise.catalog import (
     utc_timestamp,
     validate_record,
     write_sidecar,
+    _segment_from_obj,
 )
 from treatise.raster import BoundingBox, MaskRLE, Segment, decode_pgm
 
@@ -513,6 +517,174 @@ def _mutate_segment(rng, seg, segments, rec):
     elif kind == "id":
         return replace(seg, id=rng.choice((0, -1, rng.choice(segments).id)))
     return replace(seg, bbox=b, mask=MaskRLE(b.w, b.h, tuple(counts)), contour=tuple(contour))
+
+
+def _break_slice_edges(rng, rec, size):
+    """`rec` with some of the contour points that start or end a lookup
+    slice of `size` points moved far outside their box, some past int64."""
+    segments, g = [], 0
+    for seg in rec.segments:
+        contour = list(seg.contour)
+        for j in range(len(contour)):
+            if (g + j) % size in (0, size - 1) and rng.random() < 0.3:
+                contour[j] = rng.choice(((-7, -7), (2**70, 0), (0, -2**70), (10**6, 3)))
+        g += len(contour)
+        segments.append(replace(seg, contour=tuple(contour)))
+    return replace(rec, segments=tuple(segments))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 10**9])
+def test_sliced_contour_lookups_match_the_geometry_oracle(monkeypatch, size):
+    # a slice boundary falls inside segments and between them; bad points on
+    # either side of it, and a clamped coordinate in a later slice, are
+    # reported in order, as by one lookup of all points
+    monkeypatch.setattr(catalog, "_POINT_SLICE", size)
+    rng = random.Random(size)
+    on_edge = 0
+    for _ in range(400):
+        rec, _ = fuzz_record(rng)
+        if rec.segments:
+            segments = list(rec.segments)
+            for _ in range(rng.randint(0, 2)):
+                i = rng.randrange(len(segments))
+                segments[i] = _mutate_segment(rng, segments[i], segments, rec)
+            rec = _break_slice_edges(rng, replace(rec, segments=tuple(segments)), size)
+        got = [(v.path, v.message) for v in validate_record(rec)]
+        assert got == _oracle_violations(rec)
+        on_edge += any(message == "contour pixel not in mask" for _, message in got)
+    assert on_edge > 100
+
+
+def _column_record(rows: int) -> ImageRecord:
+    """A valid record of one segment, a column two pixels wide and `rows`
+    high, whose every pixel is on its contour: 2 * rows points, two runs."""
+    seg = Segment(id=1, bbox=BoundingBox(0, 0, 2, rows), mask=MaskRLE(2, rows, (0, 2 * rows)),
+                  area=2 * rows, contour=tuple((x, y) for y in range(rows) for x in (0, 1)))
+    return ImageRecord(image_id="0" * 64, source_path="column.pgm", width=2, height=rows,
+                       segments=(seg,), assignments={},
+                       provenance=Provenance(method="native", backend_ids={}, prompt_hashes=()))
+
+
+def _transient(fn, *args) -> int:
+    """The peak bytes traced while `fn(*args)` ran, above those live at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_check_transient_does_not_grow_with_the_point_count():
+    # the contour points are looked up a bounded slice at a time, so four
+    # times the points of a one-segment record take no more memory to check
+    small, large = _column_record(2**14), _column_record(2**16)
+    assert validate_record(small) == validate_record(large) == []
+    assert _transient(validate_record, large) <= _transient(validate_record, small) + 4096
+    assert _transient(validate_record, large) <= 320 * catalog._POINT_SLICE
+
+
+# values a mutated segment node takes: JSON's odd corners and wrong types
+_NODE_VALUES = (None, True, 2**70, 1e400, float("nan"), "\ud800", [], {})
+
+
+def _nodes(obj, parent, key):
+    """(parent, key) of `obj`, then of each value nested in it."""
+    yield parent, key
+    if isinstance(obj, (dict, list)):
+        for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _nodes(v, obj, k)
+
+
+def _mutate_node(rng, doc) -> None:
+    """One seeded change to one node of one segment of `doc`: a new value, a
+    deleted key or an extra key."""
+    i = rng.randrange(len(doc["segments"]))
+    parent, key = rng.choice(list(_nodes(doc["segments"][i], doc["segments"], i)))
+    kind = rng.choice(("value", "delete", "extra"))
+    if kind == "delete" and isinstance(parent, dict):
+        del parent[key]
+    elif kind == "extra" and isinstance(parent[key], dict):
+        parent[key]["zz"] = 1
+    else:
+        parent[key] = rng.choice(_NODE_VALUES)
+
+
+def _reference_from_obj(doc) -> ImageRecord:
+    """record_from_obj as a reader that keeps its input: each segment built
+    by _segment_from_obj from a deep copy, in order, then the rest. For
+    documents whose faults are all in their segments."""
+    segments = tuple(_segment_from_obj(copy.deepcopy(s), f"/segments/{i}")
+                     for i, s in enumerate(doc["segments"]))
+    return replace(record_from_obj({**doc, "segments": []}), segments=segments)
+
+
+def _reference_read(data) -> ImageRecord:
+    record = _reference_from_obj(parse_json(data, lambda m: SidecarFormatError("/", m)))
+    violations = validate_record(record)
+    if violations:
+        raise SidecarValidationError(violations)
+    return record
+
+
+def _outcome(fn, arg):
+    """What `fn(arg)` returns, or the type, path and message of what it raises."""
+    try:
+        return fn(arg)
+    except SidecarFormatError as exc:
+        return type(exc), exc.path, exc.message
+    except SidecarValidationError as exc:
+        return type(exc), exc.violations
+    except Exception as exc:  # any other failure must match too
+        return type(exc), str(exc)
+
+
+def test_the_consuming_reader_reads_as_one_that_keeps_its_input():
+    rng = random.Random(27)
+    kinds = set()
+    for _ in range(3000):
+        rec, _ = fuzz_record(rng)
+        doc = json.loads(record_to_bytes(rec))
+        if doc["segments"]:
+            _mutate_node(rng, doc)
+        data = json.dumps(doc).encode("ascii")
+        want = _outcome(_reference_read, data)
+        assert _outcome(read_sidecar, data) == want
+        assert _outcome(record_from_obj, copy.deepcopy(doc)) == \
+            _outcome(_reference_from_obj, doc)
+        kinds.add(want[0] if isinstance(want, tuple) else ImageRecord)
+    assert kinds == {ImageRecord, SidecarFormatError, SidecarValidationError}
+
+
+def test_the_reader_drops_each_segment_object_once_built():
+    rec = fuzz_record(random.Random(3))[0]
+    doc = json.loads(record_to_bytes(rec))
+    assert len(doc["segments"]) > 1
+    assert record_from_obj(doc) == rec
+    assert doc["segments"] == [None] * len(rec.segments)
+
+
+def test_the_reader_builds_in_about_no_memory_above_its_parsed_input():
+    # 256 segments of 128 points each: one segment's parsed lists are freed
+    # as soon as its tuples are built, so the record replaces its JSON
+    obj = record_to_obj(simple_record()[0])
+    obj["segments"] = [
+        {"id": k + 1, "bbox": [0, 0, 1, 1], "area": 1, "mask": {"counts": [0, 1]},
+         "contour": [[1000 + j, 2000 + k] for j in range(128)]} for k in range(256)]
+    text = json.dumps(obj)
+    tracemalloc.start()
+    try:
+        doc = json.loads(text)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        record = record_from_obj(doc)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    points = sum(len(s.contour) for s in record.segments)
+    assert points == 2**15
+    assert peak <= 10 * points
 
 
 def _oracle_violations(rec):

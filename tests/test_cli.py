@@ -1751,7 +1751,8 @@ def test_a_timeout_out_of_range_stops_the_run_with_one_line(tmp_path, capsys, se
             "vocab": ["vocab", "--glossary", GLOSSARY, "--out", "seed.json"]}[command]
     code, out, err = run(capsys, *argv, "--config", "cfg.json")
     assert (code, out) == (2, "")
-    assert err == f"error: timeout must be above 0 and at most {threading.TIMEOUT_MAX:.0f} s\n"
+    assert err == ("error: config cfg.json: timeout must be above 0 and at most "
+                   f"{threading.TIMEOUT_MAX:.0f} s\n")
     assert not (tmp_path / "p1.pgm.segments.json").exists()
     assert not (tmp_path / "seed.json").exists()
 

@@ -23,6 +23,7 @@ from treatise.catalog import (
     LabelAssignment,
     canonical_json_bytes,
     image_id_for,
+    record_to_bytes,
     record_to_obj,
     validate_record,
 )
@@ -392,6 +393,23 @@ def test_native_figure_page_peak_bytes_per_pixel():
     assert _traced_peak(run_pipeline, img, PipelineConfig(method="native", h_threshold=4)) \
         <= 40 * px.size
     assert _traced_peak(raster.watershed, relief, markers) <= 32 * px.size
+
+
+def test_native_noise_page_write_peaks_below_the_pipeline():
+    # a 256 x 256 page of blurred noise: about a thousand small segments and
+    # 23k contour points at h=4; the writer's check looks the points up a
+    # bounded slice at a time, so writing the record takes no more memory
+    # than making it
+    a = np.random.default_rng(1).integers(0, 256, (256, 256)).astype(np.float64)
+    for _ in range(3):
+        p = np.pad(a, 1, mode="edge")
+        a = sum(p[dy : dy + 256, dx : dx + 256] for dy in range(3) for dx in range(3)) / 9
+    a = (a - a.min()) / (a.max() - a.min()) * 255.0
+    img = raster.encode_pgm(raster.ImageGrid(np.rint(a).astype(np.uint8)))
+    cfg = PipelineConfig(method="native", h_threshold=4)
+    record = run_pipeline(img, cfg)
+    assert len(record.segments) > 800
+    assert _traced_peak(record_to_bytes, record) <= _traced_peak(run_pipeline, img, cfg)
 
 
 # ------------------------------------------------------- wire methods
