@@ -22,7 +22,7 @@ import threading
 import time
 import urllib.request
 from dataclasses import dataclass
-from urllib.parse import unquote, urljoin, urlsplit, urlunsplit
+from urllib.parse import unquote, urlsplit, urlunsplit
 
 from . import parse_json
 from .catalog import canonical_json_bytes
@@ -86,8 +86,6 @@ def check_timeout(timeout):
 
 # http_proxy and https_proxy as they stand at import; no_proxy is read at each call
 _PROXIES = urllib.request.getproxies()
-_REDIRECTS = (301, 302, 303)  # followed as a GET without a body; 307 and 308 are not
-MAX_REDIRECTS = 10
 # how a kept-alive connection that the server closed while it was idle fails,
 # before any reply byte; RemoteDisconnected is a ConnectionResetError
 _STALE = (ConnectionResetError, BrokenPipeError)
@@ -159,29 +157,31 @@ def _route(parts):
     return key, tunnel, target, {}
 
 
-def _exchange(url: str, method: str, body, headers: dict, timeout: float):
-    """(status, Location header, at most MAX_BODY_BYTES + 1 bytes of the
-    body) of one request. It goes out on the idle connection to the URL's
-    host when there is one. If that connection turns out to be closed
-    before any byte of a reply, the request is sent again, at once, on a
-    new one. A connection is kept only after a whole reply within the
-    bound that does not say `Connection: close`."""
-    key, make, target, extra = _route(urlsplit(url))
-    headers = {**headers, **extra}
+def _post(url: str, body: bytes, timeout: float) -> tuple[int, bytes]:
+    """Status of the reply to POSTing JSON `body` to `url`, and at most
+    MAX_BODY_BYTES + 1 of its bytes. A redirect is a reply like any other.
+
+    The request goes out on the idle connection to the URL's host when
+    there is one. If that connection turns out to be closed before any
+    byte of a reply, the request is sent again, at once, on a new one. A
+    connection is kept only after a whole reply within the bound that does
+    not say `Connection: close`."""
+    key, make, target, headers = _route(urlsplit(url))
+    headers = {"Content-Type": "application/json", **headers}
     conn = _take(key)
     try:
         if conn is not None:
             conn.timeout = timeout
             conn.sock.settimeout(timeout)
             try:
-                conn.request(method, target, body, headers)
+                conn.request("POST", target, body, headers)
                 reply = conn.getresponse()
             except _STALE:  # not an attempt: send it again below, without backoff
                 conn.close()
                 conn = None
         if conn is None:
             conn = make(timeout)
-            conn.request(method, target, body, headers)
+            conn.request("POST", target, body, headers)
             reply = conn.getresponse()
         data = reply.read(MAX_BODY_BYTES + 1)
     except BaseException:
@@ -192,25 +192,7 @@ def _exchange(url: str, method: str, body, headers: dict, timeout: float):
         _give(key, conn)
     else:
         conn.close()
-    return reply.status, reply.getheader("Location"), data
-
-
-def _post(url: str, body: bytes, timeout: float) -> tuple[int, bytes]:
-    """Status of the reply to POSTing JSON `body`, and at most MAX_BODY_BYTES + 1 of its bytes.
-
-    A 301, 302 or 303 to an http or https URL is followed as a GET without a
-    body, at most MAX_REDIRECTS times; any other reply is returned as it is."""
-    method, headers = "POST", {"Content-Type": "application/json"}
-    for _ in range(MAX_REDIRECTS + 1):
-        status, location, data = _exchange(url, method, body, headers, timeout)
-        if status not in _REDIRECTS or location is None:
-            break
-        try:
-            url = check_endpoint("redirect", urljoin(url, location))
-        except ValueError:  # another scheme, or no host: the reply stands
-            break
-        method, body, headers = "GET", None, {}
-    return status, data
+    return reply.status, data
 
 
 def _is_num(v) -> bool:

@@ -248,7 +248,9 @@ def record_from_obj(doc: dict) -> ImageRecord:
         try:
             sid = int(key)
         except ValueError:
-            raise SidecarFormatError(path, "segment id key must be an integer") from None
+            sid = None
+        if str(sid) != key:  # "01", " 1", "+1" or "1_0" would alias another key
+            raise SidecarFormatError(path, "segment id key must be an integer in canonical form")
         if not isinstance(items, list):
             raise SidecarFormatError(path, "expected a list of assignments")
         assignments[sid] = tuple(

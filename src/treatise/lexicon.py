@@ -101,6 +101,8 @@ def load_glossary(data: bytes | str) -> Glossary:
             raise GlossaryFormatError("entry id must be a non-empty string")
         if eid != eid.lower() or eid != eid.strip():
             raise GlossaryFormatError(f"entry id {eid!r} must be lowercase and trimmed")
+        if not normalize_term(eid):
+            raise GlossaryFormatError(f"entry id {eid!r} normalizes to an empty string")
         if not isinstance(raw, dict):
             raise GlossaryFormatError(f"entry {eid!r} must be an object")
         definitions = raw.get("definitions", {})

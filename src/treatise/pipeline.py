@@ -168,8 +168,8 @@ def load_vocabulary_seed(data: bytes | str) -> VocabularySeed:
     if not isinstance(language, str):
         raise ValueError("vocabulary seed language must be a string")
     for term, definition in entries.items():
-        if not isinstance(term, str) or lexicon.normalize_term(term) != term:
-            raise ValueError(f"seed term {term!r} is not in normalized form")
+        if not term or lexicon.normalize_term(term) != term:
+            raise ValueError(f"seed term {term!r} is not a non-empty normalized term")
         if not isinstance(definition, str) or not definition:
             raise ValueError(f"seed term {term!r} has an empty definition")
     return VocabularySeed(entries=dict(entries), source_hash=source_hash, language=language)

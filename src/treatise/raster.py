@@ -96,9 +96,6 @@ class ImageGrid:
             raise ValueError("intensities must be 8-bit")
         return cls(data.astype(np.uint8).reshape(height, width))
 
-    def tolist(self) -> list[int]:
-        return self.pixels.ravel().tolist()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ImageGrid) and np.array_equal(self.pixels, other.pixels)
 
@@ -144,14 +141,6 @@ class SegmentMap:
             raise ValueError("segment labels must be 2-D")
         arr.setflags(write=False)
         object.__setattr__(self, "labels", arr)
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
 
 
 @dataclass(frozen=True)

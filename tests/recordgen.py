@@ -57,3 +57,11 @@ def fuzz_record(rng: random.Random) -> tuple[ImageRecord, bytes]:
         extra={"notes": "fuzzed"} if rng.random() < 0.3 else {},
     )
     return record, blob
+
+
+def json_nodes(obj, parent, key):
+    """(parent, key) of `obj`, then of each value nested in it."""
+    yield parent, key
+    if isinstance(obj, (dict, list)):
+        for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from json_nodes(v, obj, k)

@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from conftest import make_pgm
-from recordgen import fuzz_record
+from recordgen import fuzz_record, json_nodes
 from treatise import catalog, parse_json
 from treatise.catalog import (
     ImageRecord,
@@ -189,6 +189,19 @@ class TestRoundtrip:
         with pytest.raises(SidecarFormatError) as err:
             record_from_obj(obj)
         assert err.value.path == "/segments"
+
+    @pytest.mark.parametrize("key", ["01", " 1", "1 ", "+1", "\uff11", "1_0", "1.0", "x", ""])
+    def test_an_assignment_key_reads_only_as_the_writer_writes_it(self, key):
+        # int() reads the first six as 1 or 10 ("1_0"); the writer writes none of them
+        rec, _ = simple_record()
+        obj = record_to_obj(rec)
+        obj["assignments"][key] = obj["assignments"]["1"]
+        for assignments in ({key: obj["assignments"][key]}, obj["assignments"]):
+            data = canonical_json_bytes({**obj, "assignments": assignments})
+            with pytest.raises(SidecarFormatError) as err:
+                read_sidecar(data)
+            assert str(err.value) == \
+                f"/assignments/{key}: segment id key must be an integer in canonical form"
 
     def test_foreign_key_preserved(self):
         rec, _ = simple_record()
@@ -589,19 +602,11 @@ def test_the_check_transient_does_not_grow_with_the_point_count():
 _NODE_VALUES = (None, True, 2**70, 1e400, float("nan"), "\ud800", [], {})
 
 
-def _nodes(obj, parent, key):
-    """(parent, key) of `obj`, then of each value nested in it."""
-    yield parent, key
-    if isinstance(obj, (dict, list)):
-        for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
-            yield from _nodes(v, obj, k)
-
-
 def _mutate_node(rng, doc) -> None:
     """One seeded change to one node of one segment of `doc`: a new value, a
     deleted key or an extra key."""
     i = rng.randrange(len(doc["segments"]))
-    parent, key = rng.choice(list(_nodes(doc["segments"][i], doc["segments"], i)))
+    parent, key = rng.choice(list(json_nodes(doc["segments"][i], doc["segments"], i)))
     kind = rng.choice(("value", "delete", "extra"))
     if kind == "delete" and isinstance(parent, dict):
         del parent[key]

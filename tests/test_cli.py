@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_pgm, mock_reply, reply_server, scripted_server
-from recordgen import fuzz_record
+from recordgen import fuzz_record, json_nodes
 from treatise import backends
 from treatise.catalog import (
     ImageRecord,
@@ -33,6 +33,7 @@ from treatise.catalog import (
     image_id_for,
     load_manifest,
     read_sidecar,
+    record_to_bytes,
     sidecar_path,
     utc_timestamp,
     write_sidecar,
@@ -277,6 +278,18 @@ def test_validate_rejects_deeply_nested_json(tmp_path, capsys):
     assert err.startswith("error: /: invalid JSON: ") and err.count("\n") == 1
 
 
+def test_validate_refuses_a_key_that_aliases_another(tmp_path, capsys):
+    # "01" and "1" both read as segment 1; one list would be dropped
+    sidecar = tmp_path / "a.json"
+    human_sidecar(tmp_path, sidecar.name, "a" * 64, ["keel"])
+    doc = json.loads(sidecar.read_text())
+    doc["assignments"]["01"] = [{"text": "frame", "confidence": 1.0, "source": "human"}]
+    sidecar.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", "--in", str(sidecar))
+    assert (code, out) == (2, "")
+    assert err == "error: /assignments/01: segment id key must be an integer in canonical form\n"
+
+
 def _sidecar_doc(width, height, segments):
     """A sidecar document of `segments`, each (id, [x, y, w, h], area, counts, contour)."""
     return {
@@ -434,18 +447,19 @@ def test_pipeline_env_var_overrides_config(tmp_path, capsys, config_path,
 
 
 # a reply nested past the decoder's recursion, error replies that are no JSON
-# object, a reply over the body bound (cut to 1 KiB here), a redirect off
-# http, and redirects that would resend the POST: none is followed
+# object, a reply over the body bound (cut to 1 KiB here), and redirects:
+# none is followed
 HOSTILE_REPLIES = [(200, b"[" * 100000, None, None), (400, b"[1]", None, None),
                    (400, b'"x"', None, None),
                    (200, json.dumps({"caption": "x" * 2048}).encode(), 1024, None),
                    (302, b"", None, {"Location": "ftp://127.0.0.1:9/x"}),
-                   (307, b"", None, {"Location": "/v1/moved"}),
-                   (308, b"", None, {"Location": "/v1/moved"})]
+                   *((status, b"", None, {"Location": "/v1/moved"})
+                     for status in (301, 302, 303, 307, 308))]
 
 
 @pytest.mark.parametrize("status,body,bound,headers", HOSTILE_REPLIES,
                          ids=["nested", "list", "string", "oversized", "redirect-ftp",
+                              "redirect-301", "redirect-302", "redirect-303",
                               "redirect-307", "redirect-308"])
 def test_pipeline_hostile_reply_exits_3(tmp_path, capsys, monkeypatch, status, body, bound,
                                         headers):
@@ -641,6 +655,30 @@ def test_pipeline_rejects_a_seed_that_is_not_an_object(tmp_path, capsys, config_
     assert (code, out) == (2, "")
     assert err == f"error: vocabulary {seed}: vocabulary seed must be a JSON object\n"
     assert not os.path.exists(sidecar_path(image))
+
+
+def test_a_seed_term_that_is_empty_is_a_data_error_before_any_request(tmp_path, capsys):
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"entries": {"": "a timber."}, "source_hash": "x"}))
+    image = write_image(tmp_path)
+    with scripted_server(mock_reply) as (base, hits):
+        code, out, err = run(capsys, "pipeline", "--config", _config_for(tmp_path, base),
+                             "--in", image, "--method", "m4", "--vocabulary", str(seed))
+    assert (code, out, hits) == (2, "", [])
+    assert err == f"error: vocabulary {seed}: seed term '' is not a non-empty normalized term\n"
+
+
+def test_a_glossary_id_that_normalizes_to_nothing_is_a_data_error(tmp_path, capsys):
+    # a lone combining accent: lowercase and trimmed, but nothing once normalized
+    glossary = tmp_path / "glossary.json"
+    glossary.write_text(json.dumps({"entries": {"\u0301": {}}}))
+    with scripted_server(mock_reply) as (base, hits):
+        code, out, err = run(capsys, "vocab", "--config", _config_for(tmp_path, base),
+                             "--glossary", str(glossary), "--out", str(tmp_path / "seed.json"))
+    assert (code, out, hits) == (2, "", [])
+    assert err == (f"error: glossary {glossary}: entry id '\u0301' normalizes to an empty "
+                   "string\n")
+    assert not (tmp_path / "seed.json").exists()
 
 
 def test_vocab_rebuilds_a_cached_seed_that_is_not_an_object(tmp_path, capsys, config_path):
@@ -1146,6 +1184,19 @@ def test_corpus_reprocesses_sidecars_it_cannot_trust(tmp_path, capsys):
         assert record.provenance.method == "native"
         assert record.image_id == image_id_for((tmp_path / name).read_bytes())
 
+
+
+def test_corpus_reprocesses_a_sidecar_with_a_non_canonical_assignment_key(tmp_path, capsys):
+    manifest = _manifest(tmp_path, ["p1.pgm"])
+    assert run(capsys, "pipeline", "--manifest", manifest, "--method", "native")[0] == 0
+    sidecar = tmp_path / "p1.pgm.segments.json"
+    doc = json.loads(sidecar.read_text())
+    doc["assignments"] = {f"0{doc['segments'][0]['id']}": [
+        {"text": "keel", "confidence": 1.0, "source": "human"}]}
+    sidecar.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "pipeline", "--manifest", manifest, "--method", "native")
+    assert (code, out) == (0, "processed=1 failed=0 skipped=0\n")
+    assert read_sidecar(sidecar.read_bytes()).assignments == {}
 
 
 def test_corpus_reprocesses_sidecars_too_big_or_too_deep_to_read(tmp_path, capsys):
@@ -1692,6 +1743,56 @@ def test_mutated_input_files_exit_0_or_2_with_one_line(tmp_path, capsys, server,
         assert err.startswith(f"error: {kind} {path}: ")
     elif kind == "vocabulary":  # any seed the loader accepts labels the page
         assert code == 0
+
+
+# values a mutated sidecar node takes
+_SIDECAR_NODES = (None, True, 2**70, "\ud800", [], {})
+
+
+def _spellings(key: str) -> list[str]:
+    """Spellings that int() reads as `key` but the writer never writes."""
+    return ["0" + key, " " + key, "+" + key, key + "\n",
+            "".join(chr(0xFF10 + int(c)) if c.isdigit() else c for c in key)]
+
+
+def _mutate_sidecar(rng, doc) -> None:
+    """One seeded change to `doc`: an assignment key spelt as another
+    reading of itself or of another key, a node replaced, or a key deleted
+    or added."""
+    kind = rng.choice(("key", "value", "delete", "extra"))
+    keys = list(doc["assignments"])
+    if kind == "key" and keys:
+        items = doc["assignments"].pop(rng.choice(keys))
+        doc["assignments"][rng.choice(_spellings(rng.choice(keys)))] = items
+        return
+    parent, key = rng.choice([(p, k) for p, k in json_nodes(doc, None, None) if p is not None])
+    if kind == "delete" and isinstance(parent, dict):
+        del parent[key]
+    elif kind == "extra" and isinstance(parent[key], dict):
+        parent[key]["zz"] = 1
+    else:
+        parent[key] = rng.choice(_SIDECAR_NODES)
+
+
+def test_a_sidecar_with_one_node_mutated_is_refused_or_read_whole(tmp_path, capsys):
+    # structured changes that byte edits rarely reach; an accepted file must
+    # keep every segment and every assignment it lists
+    rng = random.Random(28)
+    path = tmp_path / "node.segments.json"
+    codes = set()
+    for _ in range(400):
+        rec, _ = fuzz_record(rng)
+        doc = json.loads(record_to_bytes(rec))
+        _mutate_sidecar(rng, doc)
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", "--in", str(path))
+        assert code in (0, 2) and "Traceback" not in err, (doc, err)
+        if code == 0:
+            record = read_sidecar(path.read_bytes())
+            listed = len(doc["segments"]), sum(map(len, doc["assignments"].values()))
+            assert (len(record.segments), sum(map(len, record.assignments.values()))) == listed
+        codes.add(code)
+    assert codes == {0, 2}
 
 
 # JSON literals of values each config key may be set to; None deletes the key

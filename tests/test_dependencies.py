@@ -1,13 +1,17 @@
 """The package imports only the standard library and the runtime
-dependencies that pyproject.toml declares, and uses each of those; and
-each of its public names has a caller in the package or the benchmark."""
+dependencies that pyproject.toml declares, and uses each of those; each
+of its public names has a caller in the package or the benchmark; and
+pyproject.toml packages every data file and names the real entry point."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+from treatise import cli
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -25,9 +29,13 @@ def _imported_top_levels() -> set[str]:
     return names
 
 
-def _declared_dependencies() -> set[str]:
+def _pyproject() -> dict:
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        requirements = tomllib.load(fh)["project"]["dependencies"]
+        return tomllib.load(fh)
+
+
+def _declared_dependencies() -> set[str]:
+    requirements = _pyproject()["project"]["dependencies"]
     # "numpy>=1.22" -> "numpy"; a distribution name imports with _ for -
     return {re.match(r"[A-Za-z0-9_.-]+", r).group(0).lower().replace("-", "_")
             for r in requirements}
@@ -111,3 +119,19 @@ def test_every_public_name_has_a_caller_outside_tests():
                 if not any(p != path or not first <= line <= last
                            for p, line in uses.get(name, ()))}
     assert uncalled == _UNCALLED_ON_PURPOSE
+
+
+# tier-1 imports the package from src/, so a data file that no glob names, or
+# a script entry that names no function, would fail only once installed
+def test_every_data_file_is_packaged():
+    package = ROOT / "src" / "treatise"
+    globs = _pyproject()["tool"]["setuptools"]["package-data"]["treatise"]
+    packaged = {path for glob in globs for path in package.glob(glob)}
+    data = {path for path in package.rglob("*")
+            if path.is_file() and path.suffix not in (".py", ".pyc")}
+    assert data <= packaged
+
+
+def test_the_treatise_script_is_cli_main():
+    module, _, name = _pyproject()["project"]["scripts"]["treatise"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
