@@ -24,8 +24,7 @@ import urllib.request
 from dataclasses import dataclass
 from urllib.parse import unquote, urlsplit, urlunsplit
 
-from . import parse_json
-from .catalog import canonical_json_bytes
+from . import canonical_json_bytes, parse_json
 
 STAGES = ("segment", "caption", "tag", "ground", "define")
 ATTEMPTS = 3

@@ -1,8 +1,7 @@
 """Persistent records for processed images: segments, boxes, label
 assignments, and provenance, serialized as canonical-JSON sidecar files.
 
-Canonical form: UTF-8, object keys sorted ascending by code point, no
-insignificant whitespace. Equal records serialize to identical bytes, so
+Equal records serialize to identical bytes (`canonical_json_bytes`), so
 sidecars can be compared and cached by content.
 
 Sidecar top level: schema_version, image_id, source_path, width, height,
@@ -14,17 +13,15 @@ dropped on read.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
-import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain, islice
 
 import numpy as np
 
-from . import lexicon, parse_json
+from . import atomic_write, canonical_json_bytes, lexicon, parse_json
 from .raster import BoundingBox, ImageGrid, MaskRLE, Segment
 
 SCHEMA_VERSION = 1
@@ -112,10 +109,6 @@ class ImageRecord:
 
 def image_id_for(image_bytes: bytes) -> str:
     return hashlib.sha256(image_bytes).hexdigest()
-
-
-def canonical_json_bytes(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
 def _segment_to_obj(seg: Segment) -> dict:
@@ -497,28 +490,6 @@ def record_to_bytes(record: ImageRecord) -> bytes:
     head = canonical_json_bytes({k: v for k, v in obj.items() if k < "segments"})
     tail = canonical_json_bytes({k: v for k, v in obj.items() if k > "segments"})
     return b"%s,\"segments\":[%s],%s" % (head[:-1], segments, tail[1:])
-
-
-def atomic_write(destination, data) -> None:
-    """Write bytes, or an iterable of byte chunks, so that the file appears
-    whole or not at all: a temp file in the same directory, renamed over the
-    destination."""
-    destination = os.fspath(destination)
-    directory = os.path.dirname(destination) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            if isinstance(data, bytes):
-                fh.write(data)
-            else:
-                fh.writelines(data)
-        os.replace(tmp, destination)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def write_sidecar(record: ImageRecord, destination) -> bytes:

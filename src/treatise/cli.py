@@ -23,13 +23,12 @@ from contextlib import closing, suppress
 from dataclasses import replace
 from typing import NamedTuple
 
-from . import evaluation, lexicon, ontology, parse_json, retrieval
+from . import atomic_write, evaluation, lexicon, ontology, parse_json, retrieval
 from .backends import (BackendClient, BackendError, check_endpoint, check_timeout,
                        resolve_endpoints)
 from .catalog import (
     METHODS,
     SidecarValidationError,
-    atomic_write,
     image_id_for,
     load_manifest,
     read_sidecar,
@@ -270,19 +269,6 @@ class _Failure(NamedTuple):
     backend: bool = False
 
 
-def __getattr__(name):
-    """The pool machinery, imported on first use: only commands over many
-    files start workers, and the imports cost about 15 ms."""
-    if name == "multiprocessing":
-        import multiprocessing as value
-    elif name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor as value
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
-
-
 # batches handed to each worker: enough to even out uneven items, few
 # enough that the pool's per-task cost stays small next to the work
 _BATCHES_PER_WORKER = 8
@@ -294,19 +280,24 @@ def _corpus_results(task, items, job, workers=None, per_worker=1):
     with at least `per_worker` items each) the items run in a pool of forked
     processes: they inherit the task and job, so only items and results cross
     the pipe. The pool takes the largest input first (LPT order), in batches."""
-    this = sys.modules[__name__]  # the pool machinery, through __getattr__
     size = min(workers or _usable_cpus(), len(items) // per_worker)
-    if size <= 1 or "fork" not in this.multiprocessing.get_all_start_methods():
+    if size > 1:
+        # imported only for a pool: the pool machinery costs about 15 ms
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            size = 1
+    if size <= 1:
         for item in items:
             yield item, _attempt(task, item, job)
         return
+    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     order = sorted(range(len(items)), key=lambda i: _file_size(items[i]), reverse=True)
     rank = {i: r for r, i in enumerate(order)}
     step = max(1, len(items) // (size * _BATCHES_PER_WORKER))  # items per batch
-    pool = this.ProcessPoolExecutor(size, this.multiprocessing.get_context("fork"),
-                                    initializer=_start_worker, initargs=(task, job))
+    pool = ProcessPoolExecutor(size, multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(task, job))
     futures = []  # batch b holds order[b * step:(b + 1) * step]
     try:
         with suppress(BrokenProcessPool):  # a worker died: the rest fails below
@@ -476,8 +467,7 @@ def _cmd_overlay(args) -> int:
 
 def _cmd_mock_serve(args) -> int:
     fixtures = _read("fixtures", args.fixtures, load_fixture_table) if args.fixtures else None
-    server = MockBackendServer(port=args.port, fixtures=fixtures,
-                               **_given(args, {}, host="host", max_tags="max_tags"))
+    server = MockBackendServer(port=args.port, fixtures=fixtures, **_given(args, {}, host="host"))
     try:  # the main thread only waits, so Ctrl-C never lands in the serving loop
         with server:
             _err("\n".join(f"{stage}: {url}" for stage, url in server.endpoints.items()))
@@ -585,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8080)
     p.add_argument("--host")
     p.add_argument("--fixtures", metavar="TABLE_JSON")
-    p.add_argument("--max-tags", dest="max_tags", type=int)
     p.set_defaults(func=_cmd_mock_serve)
 
     p = sub.add_parser("validate", help="check a sidecar against every invariant")

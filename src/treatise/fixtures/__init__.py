@@ -7,6 +7,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .. import lexicon
+from .. import ontology as onto
 
 LANGUAGES = ("en", "pt", "fr", "it", "nl", "la")
 
@@ -26,8 +27,6 @@ def frames_glossary() -> "lexicon.Glossary":
 
 
 def ontology():
-    from .. import ontology as onto
-
     return onto.load_ontology(read_bytes("ontology_fig6.json"))
 
 

@@ -21,12 +21,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from . import parse_json
+from . import canonical_json_bytes, parse_json
 from .backends import MAX_BODY_BYTES, STAGES
-from .catalog import canonical_json_bytes
 from .raster import PgmError, decode_pgm
 
 FALLBACK_CAPTION = "a page from a treatise"
+_MAX_TAGS = 32  # tags in a fallback tag reply; the client cuts to its own max_tags
 _QUOTED = re.compile(r'"([^"]*)"')
 
 
@@ -90,12 +90,12 @@ def _fallback_caption(payload: dict) -> dict:
     return {"caption": FALLBACK_CAPTION}
 
 
-def _fallback_tag(payload: dict, max_tags: int) -> dict:
+def _fallback_tag(payload: dict) -> dict:
     _decode_image(payload)
     vocab = payload.get("vocabulary", [])
     if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
         raise ValueError("vocabulary must be a list of strings")
-    return {"tags": [{"text": t, "confidence": 1.0} for t in vocab[:max_tags]]}
+    return {"tags": [{"text": t, "confidence": 1.0} for t in vocab[:_MAX_TAGS]]}
 
 
 def _fallback_ground(payload: dict) -> dict:
@@ -116,7 +116,7 @@ def _fallback_define(payload: dict) -> dict:
     return {"definition": f"the {term} is a structural component of a wooden ship."}
 
 
-def mock_response(endpoint, raw_body: bytes, fixtures=None, max_tags: int = 32):
+def mock_response(endpoint, raw_body: bytes, fixtures=None):
     """(status, body object) for one request; pure in all arguments."""
     if endpoint not in STAGES:
         return 404, {"error": f"unknown endpoint {endpoint!r}"}
@@ -136,7 +136,7 @@ def mock_response(endpoint, raw_body: bytes, fixtures=None, max_tags: int = 32):
         if endpoint == "caption":
             return 200, _fallback_caption(payload)
         if endpoint == "tag":
-            return 200, _fallback_tag(payload, max_tags)
+            return 200, _fallback_tag(payload)
         if endpoint == "ground":
             return 200, _fallback_ground(payload)
         return 200, _fallback_define(payload)
@@ -182,9 +182,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         raw = self.rfile.read(length) if length > 0 else b""
         endpoint = self.path[4:] if self.path.startswith("/v1/") else None
-        status, obj = mock_response(
-            endpoint, raw, self.server.mock_fixtures, self.server.mock_max_tags
-        )
+        status, obj = mock_response(endpoint, raw, self.server.mock_fixtures)
         self._reply(status, obj)
 
     def do_GET(self):
@@ -229,10 +227,9 @@ class MockBackendServer:
     """Threaded HTTP server; port=0 binds an ephemeral port."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 fixtures: dict | None = None, max_tags: int = 32):
+                 fixtures: dict | None = None):
         self._httpd = _Server((host, port))
         self._httpd.mock_fixtures = fixtures or {}
-        self._httpd.mock_max_tags = max_tags
         self._thread = None
 
     @property
@@ -259,7 +256,8 @@ class MockBackendServer:
 
     def stop(self):
         try:
-            self._httpd.shutdown()
+            if self._thread is not None:  # shutdown() waits for a serving loop
+                self._httpd.shutdown()
         finally:  # a Ctrl-C in the wait still ends the kept-alive connections
             self._httpd.server_close()
         if self._thread is not None:

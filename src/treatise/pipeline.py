@@ -29,16 +29,14 @@ import hashlib
 import os
 from dataclasses import dataclass, replace
 
-from . import fixtures, lexicon, parse_json
+from . import atomic_write, canonical_json_bytes, fixtures, lexicon, parse_json
 from .backends import BackendClient, WireSchemaError
 from .catalog import (
     METHODS,
     ImageRecord,
     LabelAssignment,
     Provenance,
-    atomic_write,
     box_iou,
-    canonical_json_bytes,
     image_id_for,
     utc_timestamp,
 )

@@ -17,9 +17,13 @@ import math
 import os
 import stat
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from . import lexicon, parse_json
-from .catalog import ImageRecord, atomic_write, canonical_json_bytes
+from . import atomic_write, canonical_json_bytes, lexicon, parse_json
+from . import ontology as onto
+
+if TYPE_CHECKING:
+    from .catalog import ImageRecord
 
 K1 = 1.2
 B = 0.75
@@ -146,8 +150,6 @@ def expand_query(terms, glossary=None, ontology=None, hops: int = 0) -> Query:
             hit_entries |= lexicon.lookup(glossary, t)
         expanded |= lexicon.expand_terms(glossary, raw, include_related=hops == 1)
     if hops == 1 and ontology is not None and glossary is not None:
-        from . import ontology as onto
-
         concepts: set[str] = set()
         for eid in hit_entries:
             concepts.update(ontology.concepts_for_gloss(eid))

@@ -191,6 +191,44 @@ class TestClient:
         assert returned == [1025] and len(hits) == 1
 
 
+# one 200 reply per message of the wire-schema check
+WIRE_SCHEMA_VIOLATIONS = [
+    ("segment", {}, "missing segments list"),
+    ("segment", {"segments": [5]}, "segments[0] must be an object"),
+    ("segment", {"segments": [{"bbox": [0, 0, 0, 1], "mask": {"counts": []}}]},
+     "segments[0]: bbox must be [x,y,w,h] with w,h >= 1"),
+    ("segment", {"segments": [{"bbox": [0, 0, 1, 1], "mask": [1]}]},
+     "segments[0]: mask must be {counts: [...]}"),
+    ("segment", {"segments": [{"bbox": [0, 0, 1, 1], "mask": {"counts": [-1, 2]}}]},
+     "segments[0]: counts must be non-negative integers"),
+    ("segment", {"segments": [{"bbox": [0, 0, 2, 2], "mask": {"counts": [0, 3]}}]},
+     "segments[0]: counts do not sum to the box area"),
+    ("caption", {"caption": 5}, "missing caption string"),
+    ("caption", [1], "response must be a JSON object"),
+    ("tag", {"tags": {}}, "missing tags list"),
+    ("tag", {"tags": [{"text": "", "confidence": 1}]}, "tags[0]: text must be a non-empty string"),
+    ("tag", {"tags": [{"text": "keel", "confidence": 1.5}]},
+     "tags[0]: confidence must be in [0,1]"),
+    ("ground", {"detections": None}, "missing detections list"),
+    ("ground", {"detections": [{"text": 1}]}, "detections[0]: text must be a non-empty string"),
+    ("ground", {"detections": [{"text": "keel", "confidence": True, "bbox": [0, 0, 1, 1]}]},
+     "detections[0]: confidence must be in [0,1]"),
+    ("ground", {"detections": [{"text": "keel", "confidence": 0.5, "bbox": [0, 0, 1]}]},
+     "detections[0]: bbox must be [x,y,w,h] with w,h >= 1"),
+    ("define", {"definition": ""}, "missing definition string"),
+]
+
+
+@pytest.mark.parametrize("stage,reply,message", WIRE_SCHEMA_VIOLATIONS,
+                         ids=[m for _, _, m in WIRE_SCHEMA_VIOLATIONS])
+def test_a_reply_off_the_wire_schema_fails_after_one_request(stage, reply, message):
+    cli, post = client_with([(200, reply)])
+    with pytest.raises(WireSchemaError) as err:
+        cli.call(stage, {})
+    assert str(err.value) == f"{stage}: {message}"
+    assert len(post.requests) == 1
+
+
 class TestMockResponses:
     def body(self, obj):
         return canonical_json_bytes(obj)
@@ -232,11 +270,11 @@ class TestMockResponses:
 
     def test_tag_fallback_echoes_vocabulary_prefix(self):
         blob = make_pgm([[9]])
+        vocabulary = [f"term{i:02d}" for i in range(40)]
         raw = self.body({"image_b64": base64.b64encode(blob).decode(),
-                         "vocabulary": ["keel", "scarf", "heel"]})
-        _, obj = mock_response("tag", raw, max_tags=2)
-        assert obj == {"tags": [{"text": "keel", "confidence": 1.0},
-                                {"text": "scarf", "confidence": 1.0}]}
+                         "vocabulary": vocabulary})
+        _, obj = mock_response("tag", raw)
+        assert obj == {"tags": [{"text": t, "confidence": 1.0} for t in vocabulary[:32]]}
 
     def test_ground_fallback_darkest_quadrant(self):
         # darkest quadrant is bottom-right
@@ -331,6 +369,16 @@ class TestLiveServer:
             stopper.start()
             stopper.join(timeout=5)
         assert not stopper.is_alive()
+
+    def test_stop_of_a_server_never_started_returns_and_frees_the_port(self):
+        srv = MockBackendServer()
+        port = srv.port
+        stopper = threading.Thread(target=srv.stop, daemon=True)  # a stop that waits fails
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        with MockBackendServer(port=port) as again:
+            assert again.port == port
 
     def test_a_stop_interrupted_in_its_shutdown_still_ends_kept_alive_connections(self):
         # a second Ctrl-C in mock-serve lands while stop() waits for the loop

@@ -402,6 +402,21 @@ class TestValidate:
         paths = [v.path for v in validate_record(rec2)]
         assert "/assignments/9" in paths
 
+    @pytest.mark.parametrize("width,height", [(0, 2), (3, 0)])
+    def test_an_empty_frame_is_named_at_width(self, width, height):
+        rec, _ = simple_record()
+        rec2 = replace(rec, width=width, height=height, segments=(), assignments={})
+        assert [(v.path, v.message) for v in validate_record(rec2)] == [
+            ("/width", "frame must be at least 1x1")]
+
+    def test_a_mask_of_another_size_than_its_box(self):
+        rec, _ = simple_record()
+        seg = rec.segments[0]
+        bad = replace(seg, mask=MaskRLE(2, 2, (0, 4)))
+        rec2 = replace(rec, segments=(bad,))
+        assert [(v.path, v.message) for v in validate_record(rec2)] == [
+            ("/segments/0/mask", "mask dimensions differ from bbox")]
+
     def test_area_mismatch(self):
         rec, _ = simple_record()
         seg = rec.segments[0]
@@ -843,6 +858,23 @@ class TestManifest:
         doc["treatises"][1]["year"] = 1850
         with pytest.raises(ManifestError):
             load_manifest(json.dumps(doc))
+
+    @pytest.mark.parametrize("index,key,value,message", [
+        (0, None, "Livro A", "treatises[0] must be an object"),
+        (1, "title", "", "treatises[1].title must be a non-empty string"),
+        (1, "title", None, "treatises[1].title must be a non-empty string"),
+        (0, "year", 1580.0, "treatises[0].year must be an integer"),
+        (0, "year", True, "treatises[0].year must be an integer"),
+    ])
+    def test_a_treatise_field_of_the_wrong_type_is_named(self, index, key, value, message):
+        doc = copy.deepcopy(self.GOOD)
+        if key is None:
+            doc["treatises"][index] = value
+        else:
+            doc["treatises"][index][key] = value
+        with pytest.raises(ManifestError) as err:
+            load_manifest(json.dumps(doc))
+        assert str(err.value) == message
 
     def test_no_year_range_everything_goes(self):
         doc = {"treatises": [{"title": "X", "language": "la", "year": 99,

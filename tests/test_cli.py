@@ -4,6 +4,7 @@ Covers the exit-code contract (0 ok, 1 usage, 2 data, 3 backend), config
 file handling, and a round trip through every subcommand."""
 
 import argparse
+import concurrent.futures
 import hashlib
 import json
 import multiprocessing
@@ -128,6 +129,13 @@ def test_unknown_flag(capsys):
     code, _, err = run(capsys, "segment", "--bogus")
     assert code == 1
     assert "error" in err
+
+
+def test_mock_serve_takes_no_max_tags_flag(capsys):
+    # the mock's fallback tag reply is capped at a constant; pipeline --max-tags cuts it
+    code, _, err = run(capsys, "mock-serve", "--port", "0", "--max-tags", "2")
+    assert code == 1
+    assert "unrecognized arguments: --max-tags" in err
 
 
 def test_missing_required_flag(capsys):
@@ -450,7 +458,8 @@ def test_pipeline_env_var_overrides_config(tmp_path, capsys, config_path,
 # object, a reply over the body bound (cut to 1 KiB here), and redirects:
 # none is followed
 HOSTILE_REPLIES = [(200, b"[" * 100000, None, None), (400, b"[1]", None, None),
-                   (400, b'"x"', None, None),
+                   (400, b'"x"', None, None), (200, b"[1]", None, None),
+                   (200, b'{"segments": 5}', None, None),
                    (200, json.dumps({"caption": "x" * 2048}).encode(), 1024, None),
                    (302, b"", None, {"Location": "ftp://127.0.0.1:9/x"}),
                    *((status, b"", None, {"Location": "/v1/moved"})
@@ -458,7 +467,8 @@ HOSTILE_REPLIES = [(200, b"[" * 100000, None, None), (400, b"[1]", None, None),
 
 
 @pytest.mark.parametrize("status,body,bound,headers", HOSTILE_REPLIES,
-                         ids=["nested", "list", "string", "oversized", "redirect-ftp",
+                         ids=["nested", "list", "string", "list-200", "off-schema", "oversized",
+                              "redirect-ftp",
                               "redirect-301", "redirect-302", "redirect-303",
                               "redirect-307", "redirect-308"])
 def test_pipeline_hostile_reply_exits_3(tmp_path, capsys, monkeypatch, status, body, bound,
@@ -563,7 +573,7 @@ def test_a_fault_of_the_whole_run_is_one_error_before_any_image(tmp_path, capsys
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was made")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     keys, method, flags, message = RUN_FAULTS[fault]
     keys = dict(keys)
     endpoints = {s: u for s, u in server.endpoints.items() if s != "caption"}
@@ -1366,7 +1376,7 @@ def test_corpus_pool_that_breaks_while_submitting_fails_the_rest(tmp_path, capsy
             self.submitted += 1
             return super().submit(fn, path)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", BreaksAfterOne)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BreaksAfterOne)
     manifest = _manifest(tmp_path, ["p1.pgm", "p2.pgm", "p3.pgm"])
     code, out, err = run(capsys, "pipeline", "--manifest", manifest,
                          "--method", "native", "--workers", "2")
@@ -1427,7 +1437,7 @@ def test_corpus_pool_takes_the_largest_file_first(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(_RecordingPool, "made", [])
     monkeypatch.setattr(_RecordingPool, "submitted", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     names = ["small.pgm", "missing.pgm", "large.pgm", "mid.pgm", "mid2.pgm"]
     manifest = _manifest(tmp_path, names)
     (tmp_path / "missing.pgm").unlink()
@@ -1450,7 +1460,7 @@ def test_corpus_with_one_worker_makes_no_pool(tmp_path, capsys, monkeypatch, cas
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was made")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     names = ["p1.pgm"] if case == "one image" else ["p1.pgm", "p2.pgm"]
     argv = ["pipeline", "--manifest", _manifest(tmp_path, names), "--method", "native"]
     if case == "one usable cpu":
@@ -1459,7 +1469,7 @@ def test_corpus_with_one_worker_makes_no_pool(tmp_path, capsys, monkeypatch, cas
     elif case == "one image":
         argv += ["--workers", "4"]
     else:
-        monkeypatch.setattr(cli.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         argv += ["--workers", "2"]
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (0, f"processed={len(names)} failed=0 skipped=0\n")
@@ -1795,6 +1805,51 @@ def test_a_sidecar_with_one_node_mutated_is_refused_or_read_whole(tmp_path, caps
     assert codes == {0, 2}
 
 
+# values a mutated input node takes
+_INPUT_NODES = (None, True, 2**70, 10**400, float("nan"), "\ud800", [], {}, "", -1, 0, 1.5)
+
+
+def _node_argv(rng, kind: str, path: str, image: str) -> list:
+    """A command that reads the `kind` file at `path`, and only good files besides."""
+    if kind == "manifest":  # the pool path one time in two
+        return ["pipeline", "--manifest", path, "--method", "native", "--force",
+                "--workers", rng.choice(("1", "2"))]
+    if kind == "vocabulary":
+        return ["pipeline", "--config", "mock.json", "--in", image, "--out", "out.json",
+                "--method", rng.choice(("m4", "m4b")), "--vocabulary", path]
+    files = {"glossary": GLOSSARY, "ontology": ONTOLOGY, "index": "idx.json", kind: path}
+    return ["search", "--index", files["index"], "--query", "quilha keel", "--expand",
+            "--hops", "1", "--glossary", files["glossary"], "--ontology", files["ontology"]]
+
+
+def test_an_input_with_one_json_node_mutated_exits_0_or_2_with_one_line(tmp_path, capsys,
+                                                                        server):
+    # one node of a glossary, an ontology, an index snapshot read without its
+    # toc, a manifest or a vocabulary seed, replaced by a value of another type
+    # or range; a corpus run may fail only the image the change names
+    good, image = _input_files(tmp_path, server)
+    good["manifest"] = Path(_manifest(tmp_path, ["p1.pgm", "p2.pgm"])).read_bytes()
+    capsys.readouterr()
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(600):
+        kind = rng.choice(("glossary", "ontology", "index", "manifest", "vocabulary"))
+        doc = json.loads(good[kind])
+        parent, key = rng.choice([(p, k) for p, k in json_nodes(doc, None, None) if p is not None])
+        parent[key] = rng.choice(_INPUT_NODES)
+        path = tmp_path / f"node-{kind}.json"  # no toc is written beside the index
+        path.write_text(json.dumps(doc))
+        argv = _node_argv(rng, kind, str(path), image)
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2) and "Traceback" not in err, (argv, doc, err)
+        if code == 2:
+            assert err.count("\n") == 1, (argv, doc, err)
+            assert err.startswith("error: ") or " failed=1 " in out, (argv, doc, out, err)
+        seen.add((kind, argv[-1] if kind == "manifest" else None, code))
+    assert {("manifest", "2", 0), ("manifest", "2", 2)} <= seen
+    assert {code for *_, code in seen} == {0, 2}
+
+
 # JSON literals of values each config key may be set to; None deletes the key
 _CONFIG_NODES = ("null", "true", "0", "-1", str(2 ** 70), str(-2 ** 70), "9" * 400, "1e400",
                  "NaN", '"\\ud800"', "[]", None)
@@ -1921,7 +1976,7 @@ def sized_pool(monkeypatch):
     from treatise import cli
 
     monkeypatch.setattr(_SizedPool, "made", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SizedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SizedPool)
     return _SizedPool.made
 
 
@@ -2028,16 +2083,21 @@ def test_a_worker_that_dies_fails_the_index(tmp_path, capsys, monkeypatch):
 
 
 def test_search_loads_no_pool_machinery(tmp_path, capsys):
+    # nor does an index of one sidecar: the pool is imported only to be made
     idx = str(tmp_path / "idx.json")
-    assert run(capsys, "index", "--index", idx,
-               human_sidecar(tmp_path, "a.json", "a" * 64, ["keel"]))[0] == 0
+    sidecar = human_sidecar(tmp_path, "a.json", "a" * 64, ["keel"])
     script = ("import sys\n"
               "from treatise.cli import main\n"
+              "def pool():\n"
+              "    print('pool', sorted({'multiprocessing', 'concurrent.futures.process'}"
+              " & set(sys.modules)))\n"
+              f"assert main(['index', '--index', {idx!r}, {sidecar!r}]) == 0\n"
+              "pool()\n"
               f"assert main(['search', '--index', {idx!r}, '--query', 'keel']) == 0\n"
-              "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
-              " & set(sys.modules)))\n")
+              "pool()\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert [line for line in done.stdout.splitlines() if line.startswith("pool ")] == [
+        "pool []", "pool []"]

@@ -1,19 +1,20 @@
 """The package imports only the standard library and the runtime
-dependencies that pyproject.toml declares, and uses each of those; each
-of its public names has a caller in the package or the benchmark; and
-pyproject.toml packages every data file and names the real entry point."""
+dependencies that pyproject.toml declares, and uses each of those; only
+record code loads the record module; each of its public names has a caller
+in the package or the benchmark; and pyproject.toml packages every data
+file and names the real entry point."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from treatise import cli
-
-tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,6 +31,7 @@ def _imported_top_levels() -> set[str]:
 
 
 def _pyproject() -> dict:
+    tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         return tomllib.load(fh)
 
@@ -44,6 +46,21 @@ def _declared_dependencies() -> set[str]:
 def test_third_party_imports_are_the_declared_dependencies():
     third_party = _imported_top_levels() - set(sys.stdlib_module_names) - {"treatise"}
     assert third_party == _declared_dependencies()
+
+
+# the JSON byte format lives in the package root: only record code
+# (pipeline, evaluation, cli) loads catalog, and with it numpy
+def test_only_record_code_loads_the_record_module():
+    script = ("import sys\n"
+              "import treatise.backends, treatise.retrieval, treatise.lexicon, treatise.ontology\n"
+              "print(sorted({'numpy', 'treatise.catalog'} & set(sys.modules)))\n"
+              "import treatise.mockserver, treatise.fixtures\n"
+              "print(sorted({'treatise.catalog'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]"]
 
 
 # Public names that nothing in src/ or bench/ calls, each kept on purpose.

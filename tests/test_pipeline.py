@@ -7,6 +7,7 @@ segment handling, detection binding, and provenance honesty.
 
 import base64
 import hashlib
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_pgm
-from treatise import fixtures, lexicon, raster
+from treatise import fixtures, lexicon, ontology, raster
 from treatise.backends import BackendClient, WireSchemaError
 from treatise.catalog import (
     LabelAssignment,
@@ -329,6 +330,19 @@ def test_enrich_preserves_order_and_keys(parts_glossary, ship_ontology):
     assert got[3][2].concept_id == "Heel"
 
 
+def test_enrich_passes_over_an_unlinked_hit_and_takes_the_first_language():
+    # both entries hit "keel"; the first in id order links to no concept, and
+    # the linked one has no English definition, so "la" sorts before "pt"
+    glossary = lexicon.load_glossary(json.dumps({"entries": {
+        "a-keel": {"definitions": {"en": "unlinked"}, "variants": {"en": ["keel"]}},
+        "b-keel": {"definitions": {"pt": "quilha", "la": "carina"}, "variants": {"en": ["keel"]}},
+    }}))
+    onto = ontology.load_ontology(json.dumps(
+        {"roots": ["Keel"], "concepts": {"Keel": {"label": "Keel", "gloss_id": "b-keel"}}}))
+    got = enrich_labels({1: (_assignment("keel"),)}, glossary, onto)
+    assert (got[1][0].concept_id, got[1][0].definition) == ("Keel", "carina")
+
+
 # ------------------------------------------------------- native method
 
 def test_native_run_needs_no_backends():
@@ -429,6 +443,13 @@ def test_m1_caption_derived_labels(client):
     assert record.provenance.method == "M1"
     assert record.provenance.degraded is False
     assert record.source_path == "page.pgm"
+
+
+def test_m1_in_a_language_with_no_stopword_list_filters_as_english(client):
+    record = run_pipeline(IMG, PipelineConfig(method="M1", language="xx"), client=client)
+    english = derive_tags_from_caption(FALLBACK_CAPTION, 32, fixtures.stopwords("en"))
+    assert english != list(dict.fromkeys(lexicon.tokenize(FALLBACK_CAPTION)))  # it drops some
+    assert [a.text for a in record.assignments[1]] == english
 
 
 def test_m2_closed_vocabulary_canonicalizes_and_dedups(client):
