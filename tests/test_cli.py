@@ -455,8 +455,8 @@ def test_pipeline_env_var_overrides_config(tmp_path, capsys, config_path,
 
 
 # a reply nested past the decoder's recursion, error replies that are no JSON
-# object, a reply over the body bound (cut to 1 KiB here), and redirects:
-# none is followed
+# object, a 200 reply that is no JSON object or is off the wire schema, a
+# reply over the body bound (cut to 1 KiB here), and redirects: none is followed
 HOSTILE_REPLIES = [(200, b"[" * 100000, None, None), (400, b"[1]", None, None),
                    (400, b'"x"', None, None), (200, b"[1]", None, None),
                    (200, b'{"segments": 5}', None, None),
@@ -568,8 +568,6 @@ RUN_FAULTS = {
 @pytest.mark.parametrize("fault", sorted(RUN_FAULTS))
 def test_a_fault_of_the_whole_run_is_one_error_before_any_image(tmp_path, capsys, monkeypatch,
                                                                 server, fault, workers):
-    from treatise import cli
-
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was made")
 
@@ -1365,8 +1363,6 @@ def test_segment_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_corpus_pool_that_breaks_while_submitting_fails_the_rest(tmp_path, capsys,
                                                                  monkeypatch):
-    from treatise import cli
-
     class BreaksAfterOne(ProcessPoolExecutor):
         submitted = 0
 
@@ -1433,8 +1429,6 @@ class _RecordingPool(ProcessPoolExecutor):
 
 
 def test_corpus_pool_takes_the_largest_file_first(tmp_path, capsys, monkeypatch):
-    from treatise import cli
-
     monkeypatch.setattr(_RecordingPool, "made", [])
     monkeypatch.setattr(_RecordingPool, "submitted", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
@@ -1455,8 +1449,6 @@ def test_corpus_pool_takes_the_largest_file_first(tmp_path, capsys, monkeypatch)
 
 @pytest.mark.parametrize("case", ["one usable cpu", "one image", "no fork"])
 def test_corpus_with_one_worker_makes_no_pool(tmp_path, capsys, monkeypatch, case):
-    from treatise import cli
-
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was made")
 
@@ -1973,8 +1965,6 @@ class _SizedPool(ProcessPoolExecutor):
 
 @pytest.fixture()
 def sized_pool(monkeypatch):
-    from treatise import cli
-
     monkeypatch.setattr(_SizedPool, "made", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SizedPool)
     return _SizedPool.made
